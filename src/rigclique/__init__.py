@@ -10,10 +10,9 @@ from .oracle import (CYCLE_FOUND, CYCLE_NONE, CYCLE_UNKNOWN, LabeledCycle,
                      enumerate_maximal_cliques, exact_intersection_number,
                      exact_max_clique, find_distinct_label_cycle,
                      iter_maximal_cliques)
-from .quotient import (Partition, PartitionConsistencyError, QuotientCapExceeded,
-                       QuotientGraph, closed_neighborhood_partition,
-                       find_max_clique, max_weight_quotient_clique,
-                       pairwise_partition, quotient_graph)
+from .quotient import (Partition, QuotientCapExceeded, QuotientGraph,
+                       closed_neighborhood_partition, find_max_clique,
+                       max_weight_quotient_clique, quotient_graph)
 from .reconstruct import ReconstructionResult, reconstruct_labels, reps_equivalent
 from .rig import (RigParams, max_clique_from_labels, resolve_params,
                   sample_label_representation, sample_membership, trial_rng)
@@ -28,9 +27,9 @@ __all__ = [
     "SearchBudgetExceeded", "check_labeled_cycle", "degeneracy_order",
     "enumerate_maximal_cliques", "exact_intersection_number", "exact_max_clique",
     "find_distinct_label_cycle", "iter_maximal_cliques",
-    "Partition", "PartitionConsistencyError", "QuotientCapExceeded", "QuotientGraph",
+    "Partition", "QuotientCapExceeded", "QuotientGraph",
     "closed_neighborhood_partition", "find_max_clique", "max_weight_quotient_clique",
-    "pairwise_partition", "quotient_graph",
+    "quotient_graph",
     "ReconstructionResult", "reconstruct_labels", "reps_equivalent",
     "RigParams", "max_clique_from_labels", "resolve_params",
     "sample_label_representation", "sample_membership", "trial_rng",

@@ -1,8 +1,8 @@
 """Core graph and label-representation types.
 
 Vertices are 0-indexed everywhere. Graphs are simple, undirected, and
-immutable once built. Adjacency is kept twice: sorted neighbor tuples for
-iteration, and one bitmask per vertex for pairwise-intersection hot loops.
+immutable once built. Adjacency is kept once, as one bitmask per vertex;
+the sorted edge list is derived from those rows on first use.
 """
 
 from __future__ import annotations
@@ -14,20 +14,37 @@ class GraphError(ValueError):
     """Raised for structurally invalid graph or label-set input."""
 
 
+def _members(mask: int) -> list[int]:
+    """Set bits of mask, ascending."""
+    out: list[int] = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class Graph:
-    """Simple undirected graph on vertices 0..n-1. Build via build_graph()."""
+    """Simple undirected graph on vertices 0..n-1. Build via build_graph()
+    or induced_graph()."""
 
-    __slots__ = ("n", "edges", "neighbors", "bits")
+    __slots__ = ("n", "bits", "_edges")
 
-    def __init__(self, n: int, edges: tuple[tuple[int, int], ...],
-                 neighbors: tuple[tuple[int, ...], ...], bits: tuple[int, ...]):
+    def __init__(self, n: int, bits: tuple[int, ...]):
         self.n = n
-        self.edges = edges          # sorted (u, v) pairs with u < v
-        self.neighbors = neighbors  # sorted tuple per vertex
-        self.bits = bits            # bitmask per vertex, bit u set iff {v, u} is an edge
+        self.bits = bits  # bitmask per vertex, bit u set iff {v, u} is an edge
+        self._edges: tuple[tuple[int, int], ...] | None = None
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Sorted (u, v) pairs with u < v, derived once from bits."""
+        if self._edges is None:
+            self._edges = tuple((u, v) for u, row in enumerate(self.bits)
+                                for v in _members(row & -(2 << u)))  # bits above u
+        return self._edges
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
+        return self.bits[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return (self.bits[u] >> v) & 1 == 1
@@ -35,10 +52,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self.bits == other.bits
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.bits))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={len(self.edges)})"
@@ -52,26 +69,17 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if n < 0:
         raise GraphError(f"vertex count must be >= 0, got {n}")
-    seen: set[tuple[int, int]] = set()
+    bits = [0] * n
     for u, v in edges:
         if u == v:
             raise GraphError(f"self-loop ({u}, {v})")
         if not (0 <= u < n) or not (0 <= v < n):
             raise GraphError(f"endpoint out of range ({u}, {v}) for n={n}")
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
+        if (bits[u] >> v) & 1:
             raise GraphError(f"duplicate edge ({u}, {v})")
-        seen.add(e)
-    sorted_edges = tuple(sorted(seen))
-    nbr: list[list[int]] = [[] for _ in range(n)]
-    bits = [0] * n
-    for u, v in sorted_edges:
-        nbr[u].append(v)
-        nbr[v].append(u)
         bits[u] |= 1 << v
         bits[v] |= 1 << u
-    neighbors = tuple(tuple(sorted(ws)) for ws in nbr)
-    return Graph(n, sorted_edges, neighbors, tuple(bits))
+    return Graph(n, tuple(bits))
 
 
 class LabelRepresentation:
@@ -115,15 +123,17 @@ class LabelRepresentation:
 def induced_graph(rep: LabelRepresentation) -> Graph:
     """Graph with an edge wherever two vertices share at least one label.
 
-    Each L_i contributes a clique; the union of those cliques is the graph.
+    Each L_i contributes a clique: a vertex's row is the union of the member
+    masks of its labels, minus the vertex itself.
     """
-    edges: set[tuple[int, int]] = set()
-    for members in rep.label_members:
-        ms = sorted(members)
-        for a in range(len(ms)):
-            for b in range(a + 1, len(ms)):
-                edges.add((ms[a], ms[b]))
-    return build_graph(rep.n, sorted(edges))
+    label_masks = [sum(1 << v for v in members) for members in rep.label_members]
+    bits = []
+    for v, labels in enumerate(rep.label_sets):
+        row = 0
+        for i in labels:
+            row |= label_masks[i]
+        bits.append(row & ~(1 << v))
+    return Graph(rep.n, tuple(bits))
 
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
@@ -141,102 +151,69 @@ def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
     return True
 
 
-def _lexbfs_order(g: Graph) -> tuple[int, ...]:
-    """Lexicographic BFS visit order, deterministic.
+def _mcs_order(g: Graph) -> tuple[int, ...]:
+    """Maximum cardinality search visit order, deterministic.
 
-    Ordered partition refinement: each pivot splits the buckets of its
-    unvisited neighbors to the front. Buckets stay in ascending vertex order
-    (stable splits of an ascending start), so picks are reproducible.
+    Each step visits an unvisited vertex adjacent to the most visited ones,
+    smallest id on ties. buckets[k] masks the unvisited vertices adjacent to
+    exactly k visited ones; top never falls below the highest such k.
     """
     n = g.n
-    if n == 0:
-        return ()
-    members: dict[int, dict[int, None]] = {0: dict.fromkeys(range(n))}
-    nxt: dict[int, int | None] = {0: None}
-    prv: dict[int, int | None] = {0: None}
-    head: int | None = 0
-    bucket_of = [0] * n
-    fresh = 1
+    weight = [0] * n
+    buckets = [(1 << n) - 1] + [0] * n
+    unvisited = (1 << n) - 1
+    top = 0
     out: list[int] = []
-
-    def unlink(b: int) -> None:
-        nonlocal head
-        p, q = prv[b], nxt[b]
-        if p is None:
-            head = q
-        else:
-            nxt[p] = q
-        if q is not None:
-            prv[q] = p
-        del members[b], prv[b], nxt[b]
-
     for _ in range(n):
-        assert head is not None
-        v = next(iter(members[head]))
-        del members[head][v]
-        bucket_of[v] = -1
+        while not buckets[top]:
+            top -= 1
+        low = buckets[top] & -buckets[top]
+        buckets[top] ^= low
+        unvisited ^= low
+        v = low.bit_length() - 1
         out.append(v)
-        if not members[head]:
-            unlink(head)
-        split: dict[int, int] = {}
-        for w in g.neighbors[v]:
-            b = bucket_of[w]
-            if b < 0:
-                continue
-            nb = split.get(b)
-            if nb is None:
-                nb = fresh
-                fresh += 1
-                members[nb] = {}
-                p = prv[b]
-                prv[nb], nxt[nb] = p, b
-                prv[b] = nb
-                if p is None:
-                    head = nb
-                else:
-                    nxt[p] = nb
-                split[b] = nb
-            del members[b][w]
-            members[nb][w] = None
-            bucket_of[w] = nb
-        for b in split:
-            if b in members and not members[b]:
-                unlink(b)
+        for w in _members(g.bits[v] & unvisited):
+            k = weight[w]
+            weight[w] = k + 1
+            buckets[k] ^= 1 << w
+            buckets[k + 1] |= 1 << w
+        top += 1
     return tuple(out)
 
 
 def _is_elimination_order(g: Graph, elim: tuple[int, ...]) -> bool:
-    """Check elim is perfect: each vertex's later neighbors form a clique.
+    """Check elim is perfect: the vertices adjacent to and after each vertex
+    form a clique.
 
-    Uses the parent shortcut: it suffices that the later neighbors minus the
-    first one are all adjacent to that first one.
+    Uses the parent shortcut: it suffices that all of them but the first are
+    adjacent to that first one.
     """
     pos = [0] * g.n
     for i, v in enumerate(elim):
         pos[v] = i
+    remaining = (1 << g.n) - 1
     for v in elim:
-        later = [w for w in g.neighbors[v] if pos[w] > pos[v]]
-        if len(later) <= 1:
-            continue
-        parent = min(later, key=lambda w: pos[w])
-        rest = 0
-        for w in later:
-            if w != parent:
-                rest |= 1 << w
-        if rest & ~g.bits[parent]:
+        remaining ^= 1 << v
+        later = g.bits[v] & remaining
+        if later & (later - 1) == 0:
+            continue  # at most one later neighbor
+        parent = min(_members(later), key=pos.__getitem__)
+        if later & ~(g.bits[parent] | 1 << parent):
             return False
     return True
 
 
 def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
-    """Chordality test via LexBFS.
+    """Chordality test via maximum cardinality search (Tarjan and
+    Yannakakis 1984).
 
     Returns (True, order) where order is a perfect elimination ordering
     (order[0] is simplicial, and each vertex is simplicial among the vertices
-    after it), or (False, None). The verification step checks the candidate
+    after it), or (False, None). The reversed MCS visit order is perfect
+    exactly when g is chordal; the verification step checks the candidate
     ordering directly instead of trusting the search.
     """
-    elim = tuple(reversed(_lexbfs_order(g)))
+    elim = tuple(reversed(_mcs_order(g)))
     if _is_elimination_order(g, elim):
         return True, elim
     return False, None

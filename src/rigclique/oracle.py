@@ -36,18 +36,21 @@ def degeneracy_order(g: Graph) -> tuple[int, ...]:
     deg = [g.degree(v) for v in range(g.n)]
     heap: list[tuple[int, int]] = [(d, v) for v, d in enumerate(deg)]
     heapq.heapify(heap)
-    removed = [False] * g.n
+    alive = (1 << g.n) - 1
     out: list[int] = []
     while heap:
         d, v = heapq.heappop(heap)
-        if removed[v] or d != deg[v]:
+        if not (alive >> v) & 1 or d != deg[v]:
             continue  # stale entry
-        removed[v] = True
+        alive ^= 1 << v
         out.append(v)
-        for w in g.neighbors[v]:
-            if not removed[w]:
-                deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
+        rest = g.bits[v] & alive
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
+            rest ^= low
+            deg[w] -= 1
+            heapq.heappush(heap, (deg[w], w))
     return tuple(out)
 
 
@@ -164,8 +167,8 @@ def exact_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[
 def iter_maximal_cliques(g: Graph) -> Iterator[tuple[int, ...]]:
     """Yield every maximal clique exactly once, as a sorted vertex tuple.
 
-    Bron-Kerbosch with a greedy pivot (most candidate neighbors, smallest id
-    on ties); emission order is deterministic.
+    Bron-Kerbosch with a greedy pivot (adjacent to the most candidates,
+    smallest id on ties); emission order is deterministic.
     """
     if g.n == 0:
         return

@@ -21,11 +21,6 @@ class QuotientCapExceeded(RuntimeError):
     """The quotient has more classes than the solver is willing to search."""
 
 
-class PartitionConsistencyError(RuntimeError):
-    """A partition failed the all-or-nothing structure it should have by
-    construction; this signals a bug, never bad input."""
-
-
 @dataclass(frozen=True)
 class Partition:
     """Vertex classes, each sorted, ordered by smallest member; class_of maps
@@ -52,26 +47,6 @@ def closed_neighborhood_partition(g: Graph) -> Partition:
     return Partition(classes, tuple(class_of))
 
 
-def pairwise_partition(g: Graph) -> Partition:
-    """Quadratic cross-check variant: repeatedly take the smallest unassigned
-    vertex and scan every other vertex for an equal closed neighborhood.
-    Slower than closed_neighborhood_partition but follows the definition
-    directly; kept for debugging and tests."""
-    unassigned = set(range(g.n))
-    classes: list[tuple[int, ...]] = []
-    class_of = [0] * g.n
-    while unassigned:
-        v = min(unassigned)
-        closed = g.bits[v] | (1 << v)
-        cls = [u for u in sorted(unassigned) if (g.bits[u] | (1 << u)) == closed]
-        k = len(classes)
-        for u in cls:
-            class_of[u] = k
-            unassigned.discard(u)
-        classes.append(tuple(cls))
-    return Partition(tuple(classes), tuple(class_of))
-
-
 @dataclass(frozen=True)
 class QuotientGraph:
     """Weighted quotient: node k stands for partition class k, weight equals
@@ -84,47 +59,24 @@ class QuotientGraph:
         return len(self.weights)
 
 
-def quotient_graph(g: Graph, partition: Partition, verify: bool = False) -> QuotientGraph:
+def quotient_graph(g: Graph, partition: Partition) -> QuotientGraph:
     """Collapse each class to one weighted node.
 
     Cross-class adjacency is read off one representative per class, which is
-    sound because cross edges are all-or-nothing. With verify=True every
-    class is re-checked to be a clique and every cross pair is compared
-    against the representative answer; a mismatch raises
-    PartitionConsistencyError.
+    sound because cross edges are all-or-nothing.
     """
     classes = partition.classes
     class_of = partition.class_of
     edges: set[tuple[int, int]] = set()
     for a, cls in enumerate(classes):
-        rep = cls[0]
-        for w in g.neighbors[rep]:
-            b = class_of[w]
+        rest = g.bits[cls[0]]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            b = class_of[low.bit_length() - 1]
             if b != a:
                 edges.add((a, b) if a < b else (b, a))
-    q = QuotientGraph(tuple(len(cls) for cls in classes), tuple(sorted(edges)))
-    if verify:
-        _verify_quotient(g, partition, q)
-    return q
-
-
-def _verify_quotient(g: Graph, partition: Partition, q: QuotientGraph) -> None:
-    joined = set(q.edges)
-    classes = partition.classes
-    for cls in classes:
-        for i in range(len(cls)):
-            for j in range(i + 1, len(cls)):
-                if not g.has_edge(cls[i], cls[j]):
-                    raise PartitionConsistencyError(
-                        f"class {cls} is not a clique: missing edge ({cls[i]}, {cls[j]})")
-    for a in range(len(classes)):
-        for b in range(a + 1, len(classes)):
-            expect = (a, b) in joined
-            for u in classes[a]:
-                for v in classes[b]:
-                    if g.has_edge(u, v) != expect:
-                        raise PartitionConsistencyError(
-                            f"cross pair ({u}, {v}) contradicts quotient edge ({a}, {b})={expect}")
+    return QuotientGraph(tuple(len(cls) for cls in classes), tuple(sorted(edges)))
 
 
 def max_weight_quotient_clique(q: QuotientGraph,

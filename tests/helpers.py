@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-from rigclique import Graph, LabelRepresentation, build_graph
+from rigclique import Graph, LabelRepresentation, Partition, QuotientGraph, build_graph
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -73,7 +73,7 @@ def brute_chordal(g: Graph) -> bool:
     while alive:
         simplicial = None
         for v in alive:
-            nb = [w for w in g.neighbors[v] if w in alive]
+            nb = [w for w in alive if g.has_edge(v, w)]
             if all(g.has_edge(a, b) for a, b in combinations(nb, 2)):
                 simplicial = v
                 break
@@ -106,7 +106,42 @@ def has_chordless_cycle(g: Graph) -> bool:
 
 
 def closed_neighborhood(g: Graph, v: int) -> frozenset[int]:
-    return frozenset(g.neighbors[v]) | {v}
+    return frozenset(w for w in range(g.n) if g.has_edge(v, w)) | {v}
+
+
+def pairwise_partition(g: Graph) -> Partition:
+    """Closed-neighborhood partition straight from the definition: repeatedly
+    take the smallest unassigned vertex and scan every other vertex for an
+    equal closed neighborhood."""
+    unassigned = set(range(g.n))
+    classes: list[tuple[int, ...]] = []
+    class_of = [0] * g.n
+    while unassigned:
+        v = min(unassigned)
+        closed = closed_neighborhood(g, v)
+        cls = [u for u in sorted(unassigned) if closed_neighborhood(g, u) == closed]
+        for u in cls:
+            class_of[u] = len(classes)
+            unassigned.discard(u)
+        classes.append(tuple(cls))
+    return Partition(tuple(classes), tuple(class_of))
+
+
+def check_quotient(g: Graph, partition: Partition, q: QuotientGraph) -> None:
+    """Raise AssertionError unless every class is a clique, the weights are
+    the class sizes, and every cross pair agrees with its quotient edge."""
+    classes = partition.classes
+    assert q.weights == tuple(len(cls) for cls in classes), "weights differ from class sizes"
+    joined = set(q.edges)
+    for cls in classes:
+        for u, v in combinations(cls, 2):
+            assert g.has_edge(u, v), f"class {cls} is not a clique: missing edge ({u}, {v})"
+    for a, b in combinations(range(len(classes)), 2):
+        expect = (a, b) in joined
+        for u in classes[a]:
+            for v in classes[b]:
+                assert g.has_edge(u, v) == expect, \
+                    f"cross pair ({u}, {v}) contradicts quotient edge ({a}, {b})={expect}"
 
 
 def exhaustive_labeled_cycle_exists(rep: LabelRepresentation) -> bool:

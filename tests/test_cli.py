@@ -1,11 +1,14 @@
 """End-to-end checks through the installed command line, one process per call."""
 
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rigclique
 from rigclique import (build_graph, decode_graph, decode_labels, induced_graph,
                        is_clique, resolve_params, sample_label_representation)
 
@@ -13,9 +16,15 @@ P3 = "3 2\n0 1\n1 2\n"
 C4 = "4 4\n0 1\n1 2\n2 3\n0 3\n"
 
 
+# absolute, so the child finds this same package from any working directory
+SRC = str(Path(rigclique.__file__).resolve().parent.parent)
+
+
 def run_cli(*args, cwd=None):
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "rigclique", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": pythonpath})
 
 
 class TestGen:

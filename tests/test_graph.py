@@ -36,7 +36,7 @@ class TestBuildGraph:
         g = build_graph(3, [(0, 1), (1, 2)])
         assert g.n == 3
         assert g.edges == ((0, 1), (1, 2))
-        assert g.neighbors == ((1,), (0, 2), (1,))
+        assert g.bits == (0b010, 0b101, 0b010)
 
     def test_empty(self):
         g = build_graph(0, [])
@@ -57,10 +57,11 @@ class TestBuildGraph:
     def test_unordered_pairs_normalized(self):
         assert build_graph(3, [(2, 0)]).edges == ((0, 2),)
 
-    def test_bits_match_neighbors(self):
+    def test_edges_sorted_and_round_trip(self):
         g = random_graph(random.Random(7), 12, 0.4)
-        for v in range(g.n):
-            assert [w for w in range(g.n) if (g.bits[v] >> w) & 1] == list(g.neighbors[v])
+        assert list(g.edges) == sorted(g.edges)
+        assert all(u < v for u, v in g.edges)
+        assert build_graph(g.n, g.edges) == g
 
 
 class TestLabelRepresentation:
@@ -106,6 +107,12 @@ class TestInducedGraph:
         for u in range(rep.n):
             for v in range(u + 1, rep.n):
                 assert g.has_edge(u, v) == bool(rep.label_sets[u] & rep.label_sets[v])
+        pairs = [(u, v) for u in range(rep.n) for v in range(u + 1, rep.n)
+                 if rep.label_sets[u] & rep.label_sets[v]]
+        by_definition = build_graph(rep.n, pairs)
+        assert g == by_definition
+        assert hash(g) == hash(by_definition)
+        assert all((g.bits[v] >> v) & 1 == 0 for v in range(g.n))
 
 
 class TestIsClique:
@@ -147,7 +154,7 @@ class TestIsChordal:
         assert sorted(order) == list(range(g.n))
         pos = {v: i for i, v in enumerate(order)}
         for v in order:
-            later = [w for w in g.neighbors[v] if pos[w] > pos[v]]
+            later = [w for w in range(g.n) if g.has_edge(v, w) and pos[w] > pos[v]]
             for i in range(len(later)):
                 for j in range(i + 1, len(later)):
                     assert g.has_edge(later[i], later[j])

@@ -3,13 +3,13 @@ from itertools import combinations
 
 import pytest
 
-from rigclique import (Partition, PartitionConsistencyError, QuotientCapExceeded,
-                       QuotientGraph, build_graph, closed_neighborhood_partition,
-                       exact_intersection_number, exact_max_clique, find_max_clique,
-                       is_clique, max_weight_quotient_clique, pairwise_partition,
-                       quotient_graph)
+from rigclique import (Partition, QuotientCapExceeded, QuotientGraph, build_graph,
+                       closed_neighborhood_partition, exact_intersection_number,
+                       exact_max_clique, find_max_clique, is_clique,
+                       max_weight_quotient_clique, quotient_graph)
 
-from helpers import closed_neighborhood, complete_graph, random_graph, two_triangles
+from helpers import (check_quotient, closed_neighborhood, complete_graph,
+                     pairwise_partition, random_graph, two_triangles)
 
 
 class TestPartition:
@@ -59,13 +59,17 @@ class TestPartition:
 class TestQuotientGraph:
     def test_two_triangles(self):
         g = two_triangles()
-        q = quotient_graph(g, closed_neighborhood_partition(g), verify=True)
+        part = closed_neighborhood_partition(g)
+        q = quotient_graph(g, part)
+        check_quotient(g, part, q)
         assert q.weights == (1, 2, 1)
         assert q.edges == ((0, 1), (1, 2))
 
     def test_c4_is_its_own_quotient(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        q = quotient_graph(g, closed_neighborhood_partition(g), verify=True)
+        part = closed_neighborhood_partition(g)
+        q = quotient_graph(g, part)
+        check_quotient(g, part, q)
         assert q.weights == (1, 1, 1, 1)
         assert q.edges == g.edges
 
@@ -73,21 +77,24 @@ class TestQuotientGraph:
         rng = random.Random(29)
         for _ in range(60):
             g = random_graph(rng, rng.randint(0, 18), 0.4)
-            q = quotient_graph(g, closed_neighborhood_partition(g), verify=True)
+            part = closed_neighborhood_partition(g)
+            q = quotient_graph(g, part)
+            check_quotient(g, part, q)
             assert sum(q.weights) == g.n
 
     def test_all_or_nothing_cross_edges(self):
-        # verify=True re-checks every cross pair; silence here is the assertion
+        # check_quotient re-checks every cross pair; silence here is the assertion
         rng = random.Random(37)
         for _ in range(120):
             g = random_graph(rng, rng.randint(0, 14), rng.choice([0.2, 0.5, 0.8]))
-            quotient_graph(g, closed_neighborhood_partition(g), verify=True)
+            part = closed_neighborhood_partition(g)
+            check_quotient(g, part, quotient_graph(g, part))
 
     def test_verify_rejects_corrupted_partition(self):
         g = build_graph(3, [(0, 1)])
         bogus = Partition(classes=((0, 2), (1,)), class_of=(0, 1, 0))
-        with pytest.raises(PartitionConsistencyError):
-            quotient_graph(g, bogus, verify=True)
+        with pytest.raises(AssertionError, match="not a clique"):
+            check_quotient(g, bogus, quotient_graph(g, bogus))
 
 
 class TestMaxWeightQuotientClique:
