@@ -69,7 +69,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     g = decode_graph(_read(args.graph))
-    _print_clique(find_max_clique(g, quotient_cap=args.quotient_cap))
+    _print_clique(find_max_clique(g, quotient_cap=args.quotient_cap,
+                                  node_budget=args.budget))
     return 0
 
 
@@ -154,6 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--quotient-cap", type=int, default=DEFAULT_QUOTIENT_CAP,
                        help=f"refuse quotients above this many classes "
                             f"(default {DEFAULT_QUOTIENT_CAP})")
+    solve.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+                       help=f"quotient search node budget (default {DEFAULT_NODE_BUDGET})")
     solve.set_defaults(func=_cmd_solve)
 
     oracle = sub.add_parser("oracle", help="maximum clique via branch and bound")

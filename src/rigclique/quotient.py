@@ -5,14 +5,18 @@ vertex itself) are interchangeable for clique purposes: each equivalence
 class is itself a clique, and between two classes either every cross pair is
 an edge or none is. Collapsing classes gives a weighted quotient whose
 maximum-weight clique lifts back to a maximum clique of the input.
+
+That clique is found by weighted branch and bound over the quotient's
+bitmask rows, not by listing maximal cliques: a quotient built from few
+labels can have exponentially many of those.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, build_graph
-from .oracle import iter_maximal_cliques
+from .graph import Graph
+from .oracle import DEFAULT_NODE_BUDGET, SearchBudgetExceeded
 
 DEFAULT_QUOTIENT_CAP = 10_000
 
@@ -80,13 +84,25 @@ def quotient_graph(g: Graph, partition: Partition) -> QuotientGraph:
 
 
 def max_weight_quotient_clique(q: QuotientGraph,
-                               cap: int = DEFAULT_QUOTIENT_CAP) -> tuple[int, ...]:
+                               cap: int = DEFAULT_QUOTIENT_CAP,
+                               node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, ...]:
     """Maximum-weight clique of the quotient, as sorted class indices.
 
-    All weights are positive, so some maximal clique attains the maximum;
-    the search therefore enumerates maximal cliques and tracks the best
-    weight. Ties go to the lexicographically smallest index tuple. Refuses
-    quotients larger than cap classes.
+    Branch and bound over bitmask rows, on explicit stacks. The initial
+    order is the class index order, that is classes by smallest member.
+    The upper bound is greedy colouring with weight splitting: peel one
+    greedy independent set in ascending class index, charge it the
+    smallest residual weight among its members, and bound each class by
+    the running total at the step its residual weight reaches zero. A
+    clique meets each peeled set at most once, so it weighs no more than
+    the bound of its last class to run out.
+
+    Phase one finds the best weight, branching from the highest bound down.
+    Phase two extends in ascending class index until the first clique of
+    exactly that weight, so ties go to the lexicographically smallest index
+    tuple. Each node of either phase costs one unit of node_budget; running
+    out raises SearchBudgetExceeded. Refuses quotients larger than cap
+    classes.
     """
     if q.k > cap:
         raise QuotientCapExceeded(
@@ -94,28 +110,110 @@ def max_weight_quotient_clique(q: QuotientGraph,
             f"the input is too far from its quotient for this solver")
     if q.k == 0:
         return ()
-    skeleton = build_graph(q.k, q.edges)
-    best_weight = -1
-    best: tuple[int, ...] = ()
-    for clique in iter_maximal_cliques(skeleton):
-        weight = sum(q.weights[c] for c in clique)
-        if weight > best_weight or (weight == best_weight and clique < best):
-            best_weight, best = weight, clique
-    return best
+    weights = q.weights
+    rows = [0] * q.k
+    for a, b in q.edges:
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    # others[v] clears v and its neighbours: what stays independent of v
+    others = [~(row | (1 << v)) for v, row in enumerate(rows)]
+    budget = node_budget
+
+    def node(pmask: int) -> tuple[list[int], list[int]]:
+        # Charge one node, then colour pmask with weight splitting; returns
+        # the classes in the order their residual weight runs out, beside
+        # their (nondecreasing) bounds.
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
+            raise SearchBudgetExceeded(
+                f"quotient search exceeded node budget {node_budget}")
+        order: list[int] = []
+        bounds: list[int] = []
+        residual: dict[int, int] = {}
+        total = 0
+        rest = pmask
+        while rest:
+            peeled: list[int] = []
+            avail = rest
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                avail &= others[v]
+                peeled.append(v)
+            charge = min(residual.get(v, weights[v]) for v in peeled)
+            total += charge
+            for v in peeled:
+                left = residual.get(v, weights[v]) - charge
+                if left:
+                    residual[v] = left
+                else:
+                    order.append(v)
+                    bounds.append(total)
+                    rest ^= 1 << v
+        return order, bounds
+
+    full = (1 << q.k) - 1
+    best = 0
+    # frame: [weight so far, candidates, order, bounds, next index from the end]
+    order, bounds = node(full)
+    stack = [[0, full, order, bounds, len(order)]]
+    while stack:
+        frame = stack[-1]
+        weight, pmask, order, bounds, i = frame
+        i -= 1
+        if i < 0 or weight + bounds[i] <= best:
+            stack.pop()  # every class left has a bound no higher
+            continue
+        v = order[i]
+        frame[1] = pmask ^ (1 << v)
+        frame[4] = i
+        weight += weights[v]
+        best = max(best, weight)
+        sub = pmask & rows[v]
+        if sub:
+            order, bounds = node(sub)
+            stack.append([weight, sub, order, bounds, len(order)])
+
+    # frame: [weight so far, candidates above the last class taken, their weight]
+    prefix: list[int] = []
+    stack = [[0, full, sum(weights)]]
+    while True:
+        frame = stack[-1]
+        weight, pmask, left = frame
+        if weight + left < best:
+            stack.pop()
+            prefix.pop()  # the root can always reach best, so is never popped
+            continue
+        low = pmask & -pmask
+        v = low.bit_length() - 1
+        frame[1] = pmask ^ low
+        frame[2] = left - weights[v]
+        weight += weights[v]
+        if weight == best:
+            prefix.append(v)
+            return tuple(prefix)
+        sub = frame[1] & rows[v]
+        if sub:
+            order, bounds = node(sub)
+            if weight + bounds[-1] >= best:
+                prefix.append(v)
+                stack.append([weight, sub, sum(weights[c] for c in order)])
 
 
-def find_max_clique(g: Graph, quotient_cap: int = DEFAULT_QUOTIENT_CAP) -> tuple[int, ...]:
+def find_max_clique(g: Graph, quotient_cap: int = DEFAULT_QUOTIENT_CAP,
+                    node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, ...]:
     """Maximum clique of g via the closed-neighborhood quotient, as a sorted
     vertex tuple.
 
     Partition, collapse, solve the weighted quotient, then take the union of
-    the selected classes. Requires at least one vertex.
+    the selected classes. Requires at least one vertex. The quotient search
+    refuses above quotient_cap classes or node_budget search nodes.
     """
     if g.n == 0:
         raise ValueError("graph has no vertices")
     partition = closed_neighborhood_partition(g)
     q = quotient_graph(g, partition)
-    chosen = max_weight_quotient_clique(q, cap=quotient_cap)
+    chosen = max_weight_quotient_clique(q, cap=quotient_cap, node_budget=node_budget)
     vertices: list[int] = []
     for c in chosen:
         vertices.extend(partition.classes[c])

@@ -52,6 +52,27 @@ def subset_max_clique(g: Graph) -> tuple[int, ...]:
     return min(winners)
 
 
+def random_quotient(rng: random.Random, k: int, p: float, max_weight: int) -> QuotientGraph:
+    edges = tuple((a, b) for a in range(k) for b in range(a + 1, k) if rng.random() < p)
+    return QuotientGraph(tuple(rng.randint(1, max_weight) for _ in range(k)), edges)
+
+
+def subset_max_weight_clique(q: QuotientGraph) -> tuple[int, ...]:
+    """Lexicographically smallest maximum-weight clique of a weighted
+    quotient, by checking every subset of its nodes. Only sensible for
+    k <= ~14."""
+    joined = set(q.edges)
+    best_weight, best = 0, ()
+    for mask in range(1, 1 << q.k):
+        nodes = tuple(c for c in range(q.k) if (mask >> c) & 1)
+        if not all(pair in joined for pair in combinations(nodes, 2)):
+            continue
+        weight = sum(q.weights[c] for c in nodes)
+        if weight > best_weight or (weight == best_weight and nodes < best):
+            best_weight, best = weight, nodes
+    return best
+
+
 def all_maximal_cliques(g: Graph) -> set[tuple[int, ...]]:
     """Nonempty maximal cliques by checking every clique for extendability.
     The null graph has none, matching the package convention."""

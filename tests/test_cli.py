@@ -113,6 +113,15 @@ class TestCliqueCommands:
         assert proc.returncode == 1
         assert "error:" in proc.stderr
 
+    def test_solve_budget_refusal_is_runtime_failure(self, tmp_path):
+        # C4 is its own quotient; its search needs more than the root node
+        (tmp_path / "g.txt").write_text(C4)
+        assert run_cli("solve", "--graph", "g.txt", cwd=tmp_path).returncode == 0
+        proc = run_cli("solve", "--graph", "g.txt", "--budget", "1", cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "node budget" in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestChordal:
     def test_chordal_graph_prints_order(self, tmp_path):

@@ -1,15 +1,20 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rigclique import (Partition, QuotientCapExceeded, QuotientGraph, build_graph,
-                       closed_neighborhood_partition, exact_intersection_number,
-                       exact_max_clique, find_max_clique, is_clique,
-                       max_weight_quotient_clique, quotient_graph)
+from rigclique import (Graph, Partition, QuotientCapExceeded, QuotientGraph,
+                       SearchBudgetExceeded, build_graph, closed_neighborhood_partition,
+                       exact_intersection_number, exact_max_clique, find_max_clique,
+                       induced_graph, is_clique, max_weight_quotient_clique,
+                       quotient_graph, resolve_params, sample_label_representation)
 
 from helpers import (check_quotient, closed_neighborhood, complete_graph,
-                     pairwise_partition, random_graph, two_triangles)
+                     pairwise_partition, random_graph, random_quotient,
+                     subset_max_weight_clique, two_triangles)
 
 
 class TestPartition:
@@ -119,6 +124,48 @@ class TestMaxWeightQuotientClique:
     def test_empty_quotient(self):
         assert max_weight_quotient_clique(QuotientGraph((), ())) == ()
 
+    def test_budget_refusal(self):
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        q = quotient_graph(g, closed_neighborhood_partition(g))
+        assert max_weight_quotient_clique(q) == (0, 1)
+        with pytest.raises(SearchBudgetExceeded, match="node budget 1"):
+            max_weight_quotient_clique(q, node_budget=1)
+
+    def test_best_weight_matches_networkx(self):
+        rng = random.Random(47)
+        for _ in range(150):
+            q = random_quotient(rng, rng.randint(1, 40), rng.choice([0.1, 0.4, 0.7, 0.9]),
+                                rng.choice([1, 3, 20]))
+            chosen = max_weight_quotient_clique(q)
+            joined = set(q.edges)
+            assert all(pair in joined for pair in combinations(chosen, 2))
+            nxg = nx.Graph(q.edges)
+            nxg.add_nodes_from(range(q.k))
+            nx.set_node_attributes(nxg, dict(enumerate(q.weights)), "weight")
+            _, weight = nx.max_weight_clique(nxg, weight="weight")
+            assert sum(q.weights[c] for c in chosen) == weight
+
+    def test_lexicographically_smallest_by_subset_search(self):
+        rng = random.Random(53)
+        for _ in range(300):
+            # few distinct weights, so maximum-weight ties are common
+            q = random_quotient(rng, rng.randint(1, 12), rng.choice([0.2, 0.5, 0.8]),
+                                rng.choice([1, 2, 4]))
+            assert max_weight_quotient_clique(q) == subset_max_weight_clique(q)
+
+    def test_deep_quotient_cocktail_party(self):
+        # K_{2x1050}: every vertex misses only its partner v ^ 1, so each is its
+        # own class and the maximum clique takes one vertex of all 1,050 pairs;
+        # the smallest such tuple takes the even member of each
+        n = 2100
+        full = (1 << n) - 1
+        g = Graph(n, tuple(full ^ (1 << v) ^ (1 << (v ^ 1)) for v in range(n)))
+        q = quotient_graph(g, closed_neighborhood_partition(g))
+        assert q.k == n
+        chosen = max_weight_quotient_clique(q)
+        assert len(chosen) == 1050
+        assert chosen == tuple(range(0, n, 2))
+
 
 class TestFindMaxClique:
     def test_two_triangles(self):
@@ -150,6 +197,21 @@ class TestFindMaxClique:
             touched = {part.class_of[v] for v in clique}
             rebuilt = sorted(v for c in touched for v in part.classes[c])
             assert rebuilt == list(clique)
+
+    def test_solves_l1_within_fixed_node_budget(self):
+        # ladder rung L1; both search phases together take 123 nodes
+        rep = sample_label_representation(resolve_params(n=400, m=10, p=0.2), seed=1, trial=0)
+        g = induced_graph(rep)
+        clique = find_max_clique(g, node_budget=250)
+        assert is_clique(g, clique)
+        assert len(clique) == len(exact_max_clique(g))
+
+    @given(n=st.integers(1, 300), m=st.integers(1, 10), p=st.floats(0.02, 0.35),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_on_sampled_rig(self, n, m, p, seed):
+        g = induced_graph(sample_label_representation(resolve_params(n=n, m=m, p=p), seed))
+        assert len(find_max_clique(g)) == len(exact_max_clique(g))
 
 
 class TestQuotientSizeBound:
