@@ -187,8 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     experiment.add_argument("--trials", type=int, required=True, help="number of trials")
     experiment.add_argument("--jobs", type=int, default=1,
-                            help="worker processes (default 1); results are "
-                                 "identical at any job count")
+                            help="worker processes (default 1), at most one per "
+                                 "trial and per CPU; results are identical at "
+                                 "any job count")
     experiment.add_argument("--csv", help="write the CSV here instead of stdout")
     experiment.add_argument("--budget", type=int,
                             help="per-trial search budget override (oracle nodes "

@@ -16,6 +16,7 @@ byte-identical CSV, sequential or parallel.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -182,9 +183,10 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
                    progress: Callable[[int], None] | None = None) -> TrialStats:
     """Run all trials and aggregate.
 
-    With jobs > 1, trials run in a process pool; per-trial streams make the
-    result identical to a sequential run. Rows are ordered by trial index
-    either way. If cfg.out is set, the CSV is also written there.
+    Trials run in a process pool of min(jobs, trials, CPU count) workers,
+    or in this process when that is 1; per-trial streams make the result
+    identical either way. Rows are ordered by trial index. If cfg.out is
+    set, the CSV is also written there.
     """
     if cfg.kind not in KINDS:
         raise ValueError(f"unknown experiment kind {cfg.kind!r}, expected one of {KINDS}")
@@ -194,13 +196,14 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     run = _TRIALS[cfg.kind]
     rows: list[dict[str, object]] = []
-    if jobs == 1:
+    workers = min(jobs, cfg.trials, os.cpu_count() or 1)
+    if workers == 1:
         for trial in range(cfg.trials):
             rows.append(run(cfg, trial))
             if progress is not None:
                 progress(len(rows))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for row in pool.map(_run_one, [(cfg, t) for t in range(cfg.trials)]):
                 rows.append(row)
                 if progress is not None:

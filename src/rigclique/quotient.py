@@ -54,33 +54,45 @@ def closed_neighborhood_partition(g: Graph) -> Partition:
 @dataclass(frozen=True)
 class QuotientGraph:
     """Weighted quotient: node k stands for partition class k, weight equals
-    the class size, and an edge means every cross pair is an edge."""
+    the class size, and an edge means every cross pair is an edge.
+
+    Adjacency is a plain Graph on the k class nodes, so it is kept once, as
+    bitmask rows; the sorted edge list is derived from them on first use.
+    """
     weights: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
+    graph: Graph
 
     @property
     def k(self) -> int:
         return len(self.weights)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return self.graph.edges
 
 
 def quotient_graph(g: Graph, partition: Partition) -> QuotientGraph:
     """Collapse each class to one weighted node.
 
     Cross-class adjacency is read off one representative per class, which is
-    sound because cross edges are all-or-nothing.
+    sound because cross edges are all-or-nothing: the row of class a has bit
+    b set iff the representatives of a and b are adjacent in g.
     """
     classes = partition.classes
     class_of = partition.class_of
-    edges: set[tuple[int, int]] = set()
-    for a, cls in enumerate(classes):
-        rest = g.bits[cls[0]]
+    reps = 0
+    for cls in classes:
+        reps |= 1 << cls[0]
+    rows = []
+    for cls in classes:
+        row = 0
+        rest = g.bits[cls[0]] & reps
         while rest:
             low = rest & -rest
             rest ^= low
-            b = class_of[low.bit_length() - 1]
-            if b != a:
-                edges.add((a, b) if a < b else (b, a))
-    return QuotientGraph(tuple(len(cls) for cls in classes), tuple(sorted(edges)))
+            row |= 1 << class_of[low.bit_length() - 1]
+        rows.append(row)
+    return QuotientGraph(tuple(len(cls) for cls in classes), Graph(len(classes), tuple(rows)))
 
 
 def max_weight_quotient_clique(q: QuotientGraph,
@@ -111,10 +123,7 @@ def max_weight_quotient_clique(q: QuotientGraph,
     if q.k == 0:
         return ()
     weights = q.weights
-    rows = [0] * q.k
-    for a, b in q.edges:
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
+    rows = q.graph.bits
     # others[v] clears v and its neighbours: what stays independent of v
     others = [~(row | (1 << v)) for v, row in enumerate(rows)]
     budget = node_budget

@@ -1,15 +1,31 @@
-"""Independent reference implementations used to check the package.
+"""Independent reference implementations used to check the package, and
+the environment that child processes run the checkout in.
 
-Everything here is deliberately naive: subset enumeration, direct
+The references are deliberately naive: subset enumeration, direct
 definitions, no shared code with the algorithms under test.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from itertools import combinations, permutations
+from pathlib import Path
 
 from rigclique import Graph, LabelRepresentation, Partition, QuotientGraph, build_graph
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def checkout_env(**overrides):
+    """The caller's environment with the checkout's ``src`` first on PYTHONPATH.
+
+    The path is absolute, so a child started in any working directory imports
+    this checkout's package rather than an installed copy.
+    """
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                               os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath, **overrides}
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -53,8 +69,9 @@ def subset_max_clique(g: Graph) -> tuple[int, ...]:
 
 
 def random_quotient(rng: random.Random, k: int, p: float, max_weight: int) -> QuotientGraph:
-    edges = tuple((a, b) for a in range(k) for b in range(a + 1, k) if rng.random() < p)
-    return QuotientGraph(tuple(rng.randint(1, max_weight) for _ in range(k)), edges)
+    edges = [(a, b) for a in range(k) for b in range(a + 1, k) if rng.random() < p]
+    return QuotientGraph(tuple(rng.randint(1, max_weight) for _ in range(k)),
+                         build_graph(k, edges))
 
 
 def subset_max_weight_clique(q: QuotientGraph) -> tuple[int, ...]:
@@ -150,9 +167,11 @@ def pairwise_partition(g: Graph) -> Partition:
 
 def check_quotient(g: Graph, partition: Partition, q: QuotientGraph) -> None:
     """Raise AssertionError unless every class is a clique, the weights are
-    the class sizes, and every cross pair agrees with its quotient edge."""
+    the class sizes, the quotient rows are symmetric with no self bit, and
+    every cross pair agrees with its quotient edge."""
     classes = partition.classes
     assert q.weights == tuple(len(cls) for cls in classes), "weights differ from class sizes"
+    assert q.graph == build_graph(q.k, q.edges), "quotient rows differ from their edges"
     joined = set(q.edges)
     for cls in classes:
         for u, v in combinations(cls, 2):

@@ -20,7 +20,7 @@ from rigclique import (ExperimentConfig, PRESETS, build_graph,
                        reconstruct_labels, reps_equivalent, run_experiment,
                        sample_label_representation)
 
-from helpers import closed_neighborhood, random_graph, subset_max_clique
+from helpers import checkout_env, closed_neighborhood, random_graph, subset_max_clique
 
 
 def test_criterion_1_solver_matches_oracle(acceptance):
@@ -170,7 +170,8 @@ def test_criterion_9_reproducible_csv(acceptance):
     cli = [sys.executable, "-m", "rigclique", "experiment", "concentration",
            "--n", "300", "--m", "20", "--p", "0.1", "--trials", "4",
            "--seed", "17", "--jobs", "2"]
-    runs = [subprocess.run(cli, capture_output=True, text=True) for _ in range(2)]
+    runs = [subprocess.run(cli, capture_output=True, text=True, env=checkout_env())
+            for _ in range(2)]
     cli_ok = (runs[0].returncode == runs[1].returncode == 0
               and runs[0].stdout == runs[1].stdout)
     acceptance(9, "reproducible csv", identical == 4 and cli_ok,

@@ -9,29 +9,16 @@ import os
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from rigclique import (build_graph, decode_graph, decode_labels, induced_graph,
                        is_clique, resolve_params, sample_label_representation)
 
+from helpers import ROOT, checkout_env
+
 P3 = "3 2\n0 1\n1 2\n"
 C4 = "4 4\n0 1\n1 2\n2 3\n0 3\n"
-
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def checkout_env(**overrides):
-    """The caller's environment with the checkout's ``src`` first on PYTHONPATH.
-
-    The path is absolute, so a child started in any working directory imports
-    this checkout's package rather than an installed copy.
-    """
-    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                               os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": pythonpath, **overrides}
 
 
 def run_cli(*args, cwd=None):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import rigclique.experiments as experiments
 from rigclique import (PRESETS, ExperimentConfig, RigParams, label_deviation_bound,
                        resolve_params, run_experiment, set_size_bound)
 
@@ -194,6 +195,38 @@ class TestReproducibility:
         cfg = ExperimentConfig("concentration", resolve_params(n=150, m=15, p=0.1),
                                trials=6, seed=8)
         assert run_experiment(cfg, jobs=2).to_csv() == run_experiment(cfg).to_csv()
+
+    @pytest.mark.parametrize("jobs, trials, cpus, started", [
+        (500, 3, 64, [3]),     # no more workers than trials
+        (500, 10, 2, [2]),     # nor than CPUs
+        (3, 10, 64, [3]),
+        (500, 1, 64, []),      # one worker: no pool at all
+        (500, 10, None, []),   # CPU count unknown: treated as one
+    ])
+    def test_worker_count_clamped(self, monkeypatch, jobs, trials, cpus, started):
+        # an in-process stand-in records the pool size; no process is started
+        recorded = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                recorded.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        cfg = ExperimentConfig("sparse", resolve_params(n=30, m=6, p=0.02),
+                               trials=trials, seed=0)
+        sequential = run_experiment(cfg).to_csv()
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        assert run_experiment(cfg, jobs=jobs).to_csv() == sequential
+        assert recorded == started
 
     def test_progress_counts_up(self):
         cfg = ExperimentConfig("sparse", resolve_params(n=30, m=6, p=0.02),

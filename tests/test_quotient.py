@@ -104,15 +104,15 @@ class TestQuotientGraph:
 
 class TestMaxWeightQuotientClique:
     def test_single_node(self):
-        assert max_weight_quotient_clique(QuotientGraph((7,), ())) == (0,)
+        assert max_weight_quotient_clique(QuotientGraph((7,), build_graph(1, []))) == (0,)
 
     def test_heavier_isolated_node_wins(self):
-        assert max_weight_quotient_clique(QuotientGraph((5, 1), ())) == (0,)
-        assert max_weight_quotient_clique(QuotientGraph((1, 5), ())) == (1,)
+        assert max_weight_quotient_clique(QuotientGraph((5, 1), build_graph(2, []))) == (0,)
+        assert max_weight_quotient_clique(QuotientGraph((1, 5), build_graph(2, []))) == (1,)
 
     def test_tie_breaks_lexicographically(self):
         # two disjoint edges of equal weight
-        q = QuotientGraph((2, 2, 2, 2), ((0, 3), (1, 2)))
+        q = QuotientGraph((2, 2, 2, 2), build_graph(4, [(0, 3), (1, 2)]))
         assert max_weight_quotient_clique(q) == (0, 3)
 
     def test_cap_refusal(self):
@@ -122,7 +122,7 @@ class TestMaxWeightQuotientClique:
             max_weight_quotient_clique(q, cap=5)
 
     def test_empty_quotient(self):
-        assert max_weight_quotient_clique(QuotientGraph((), ())) == ()
+        assert max_weight_quotient_clique(QuotientGraph((), build_graph(0, []))) == ()
 
     def test_budget_refusal(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
