@@ -27,8 +27,8 @@ from .oracle import (CYCLE_FOUND, DEFAULT_CYCLE_STEPS, DEFAULT_NODE_BUDGET,
                      SearchBudgetExceeded, check_labeled_cycle, exact_max_clique,
                      find_distinct_label_cycle)
 from .reconstruct import reconstruct_labels, reps_equivalent
-from .rig import (RigParams, max_clique_from_labels, resolve_params,
-                  sample_label_representation, sample_membership)
+from .rig import (RigParams, resolve_params, sample_label_representation,
+                  sample_membership)
 
 KINDS = ("single_label", "concentration", "sparse", "reconstruction")
 

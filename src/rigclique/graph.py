@@ -7,7 +7,9 @@ the sorted edge list is derived from those rows on first use.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 
 class GraphError(ValueError):
@@ -59,6 +61,34 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={len(self.edges)})"
+
+
+_BLOCK_CELLS = 1 << 24  # cells in one transient block: 16 MB of booleans
+
+
+def _pack_rows(widths: Sequence[int],
+               fill: Callable[[int, int, int], np.ndarray]) -> list[int]:
+    """Bitmask rows built from boolean blocks, column j of a block as bit j.
+
+    Row i needs widths[i] >= 1 cells. Consecutive rows share a block while
+    rows times the widest of them stays within _BLOCK_CELLS (a wider row
+    gets a block of its own), so the transient cost follows the rows, not
+    the vertex count. fill(start, stop, width) returns rows start..stop-1
+    as a boolean array of stop - start rows and 1..width columns.
+    """
+    rows: list[int] = []
+    start = 0
+    while start < len(widths):
+        stop, width = start + 1, widths[start]
+        while stop < len(widths) and (stop + 1 - start) * max(width, widths[stop]) <= _BLOCK_CELLS:
+            width = max(width, widths[stop])
+            stop += 1
+        packed = np.packbits(fill(start, stop, width), axis=1, bitorder="little")
+        data, step = packed.tobytes(), packed.shape[1]
+        rows.extend(int.from_bytes(data[i:i + step], "little")
+                    for i in range(0, len(data), step))
+        start = stop
+    return rows
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph
+import numpy as np
+
+from .graph import Graph, _pack_rows
 from .oracle import DEFAULT_NODE_BUDGET, SearchBudgetExceeded
 
 DEFAULT_QUOTIENT_CAP = 10_000
@@ -36,13 +38,19 @@ class Partition:
 def closed_neighborhood_partition(g: Graph) -> Partition:
     """Partition vertices by closed neighborhood.
 
-    The closed-neighborhood bitmask is a canonical grouping key, so one pass
-    suffices. Scanning vertices in ascending order makes classes come out
-    ordered by their smallest member.
+    The closed neighborhood is a canonical grouping key, so one pass
+    suffices. It is keyed as its largest member beside the mask of the
+    others, which is never wider than the vertex's row: N[v] as one mask
+    would be v bits even for an isolated v, quadratic over all vertices.
+    Scanning vertices in ascending order makes classes come out ordered by
+    their smallest member.
     """
-    groups: dict[int, list[int]] = {}
+    groups: dict[tuple[int, int], list[int]] = {}
     for v in range(g.n):
-        groups.setdefault(g.bits[v] | (1 << v), []).append(v)
+        row = g.bits[v]
+        top = max(row.bit_length() - 1, v)
+        key = ((row | (1 << v)) ^ (1 << top), top) if top > v else (row, v)
+        groups.setdefault(key, []).append(v)
     classes = tuple(tuple(vs) for vs in groups.values())
     class_of = [0] * g.n
     for k, vs in enumerate(classes):
@@ -76,22 +84,27 @@ def quotient_graph(g: Graph, partition: Partition) -> QuotientGraph:
 
     Cross-class adjacency is read off one representative per class, which is
     sound because cross edges are all-or-nothing: the row of class a has bit
-    b set iff the representatives of a and b are adjacent in g.
+    b set iff the representatives of a and b are adjacent in g. Classes are
+    in representative order, so that row is the representative's row of g
+    with only the representative columns kept. Blocks of rows are unpacked
+    to bits, those columns taken and the result packed again; each block is
+    as wide as its rows' bit_length(), never n.
     """
     classes = partition.classes
-    class_of = partition.class_of
-    reps = 0
-    for cls in classes:
-        reps |= 1 << cls[0]
-    rows = []
-    for cls in classes:
-        row = 0
-        rest = g.bits[cls[0]] & reps
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            row |= 1 << class_of[low.bit_length() - 1]
-        rows.append(row)
+    reps = np.array([cls[0] for cls in classes])
+    rep_rows = [g.bits[cls[0]] for cls in classes]
+    nonzero = [a for a, row in enumerate(rep_rows) if row]
+
+    def fill(start: int, stop: int, width: int) -> np.ndarray:
+        nbytes = (width + 7) // 8
+        data = b"".join(rep_rows[a].to_bytes(nbytes, "little") for a in nonzero[start:stop])
+        cells = np.unpackbits(np.frombuffer(data, np.uint8).reshape(stop - start, nbytes),
+                              axis=1, bitorder="little")
+        return cells[:, reps[:np.searchsorted(reps, width)]]
+
+    rows = [0] * len(classes)
+    for a, row in zip(nonzero, _pack_rows([rep_rows[a].bit_length() for a in nonzero], fill)):
+        rows[a] = row
     return QuotientGraph(tuple(len(cls) for cls in classes), Graph(len(classes), tuple(rows)))
 
 

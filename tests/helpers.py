@@ -165,6 +165,24 @@ def pairwise_partition(g: Graph) -> Partition:
     return Partition(tuple(classes), tuple(class_of))
 
 
+def quotient_rows_loop(g: Graph, partition: Partition) -> tuple[int, ...]:
+    """Quotient rows one set bit at a time: bit class_of[w] for each
+    representative w adjacent to the class's own representative."""
+    reps = 0
+    for cls in partition.classes:
+        reps |= 1 << cls[0]
+    rows = []
+    for cls in partition.classes:
+        row = 0
+        rest = g.bits[cls[0]] & reps
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row |= 1 << partition.class_of[low.bit_length() - 1]
+        rows.append(row)
+    return tuple(rows)
+
+
 def check_quotient(g: Graph, partition: Partition, q: QuotientGraph) -> None:
     """Raise AssertionError unless every class is a clique, the weights are
     the class sizes, the quotient rows are symmetric with no self bit, and

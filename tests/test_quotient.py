@@ -1,8 +1,11 @@
 import random
 from itertools import combinations
 
+import tracemalloc
+
 import networkx as nx
 import pytest
+import rigclique.graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,8 +16,8 @@ from rigclique import (Graph, Partition, QuotientCapExceeded, QuotientGraph,
                        quotient_graph, resolve_params, sample_label_representation)
 
 from helpers import (check_quotient, closed_neighborhood, complete_graph,
-                     pairwise_partition, random_graph, random_quotient,
-                     subset_max_weight_clique, two_triangles)
+                     pairwise_partition, quotient_rows_loop, random_graph,
+                     random_quotient, subset_max_weight_clique, two_triangles)
 
 
 class TestPartition:
@@ -94,6 +97,44 @@ class TestQuotientGraph:
             g = random_graph(rng, rng.randint(0, 14), rng.choice([0.2, 0.5, 0.8]))
             part = closed_neighborhood_partition(g)
             check_quotient(g, part, quotient_graph(g, part))
+
+    def test_rows_equal_bit_loop(self):
+        rng = random.Random(41)
+        for _ in range(80):
+            g = random_graph(rng, rng.randint(0, 60), rng.choice([0.05, 0.3, 0.7, 0.95]))
+            part = closed_neighborhood_partition(g)
+            assert quotient_graph(g, part).graph.bits == quotient_rows_loop(g, part)
+
+    def test_rows_equal_bit_loop_on_label_graph(self):
+        g = induced_graph(sample_label_representation(resolve_params(n=400, m=10, p=0.2), 1))
+        part = closed_neighborhood_partition(g)
+        assert quotient_graph(g, part).graph.bits == quotient_rows_loop(g, part)
+
+    def test_rows_equal_bit_loop_in_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(rigclique.graph, "_BLOCK_CELLS", 64)
+        rng = random.Random(43)
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(0, 60), rng.choice([0.1, 0.5, 0.9]))
+            part = closed_neighborhood_partition(g)
+            assert quotient_graph(g, part).graph.bits == quotient_rows_loop(g, part)
+
+    def test_isolated_vertices_stay_cheap(self):
+        # The path 0 - 199999 - 1 among 200,000 vertices. Both steps run
+        # before the class cap is checked; their peak stays far below any
+        # n x n buffer, and below one n-bit mask per vertex (2.5 GB).
+        n = 200_000
+        g = build_graph(n, [(0, n - 1), (n - 1, 1)])
+        tracemalloc.start()
+        try:
+            part = closed_neighborhood_partition(g)
+            q = quotient_graph(g, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert part.classes == tuple((v,) for v in range(n))
+        assert q.graph.bits == quotient_rows_loop(g, part)
+        assert q.graph.bits[n - 1] == 0b11
 
     def test_verify_rejects_corrupted_partition(self):
         g = build_graph(3, [(0, 1)])
