@@ -192,8 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  "any job count")
     experiment.add_argument("--csv", help="write the CSV here instead of stdout")
     experiment.add_argument("--budget", type=int,
-                            help="per-trial search budget override (oracle nodes "
-                                 "or cycle-search steps, by kind)")
+                            help="per-trial search budget override: quotient-search "
+                                 "nodes for single_label, cycle-search steps "
+                                 "for sparse")
     experiment.set_defaults(func=_cmd_experiment)
     return parser
 

@@ -41,8 +41,8 @@ class Graph:
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Sorted (u, v) pairs with u < v, derived once from bits."""
         if self._edges is None:
-            self._edges = tuple((u, v) for u, row in enumerate(self.bits)
-                                for v in _members(row & -(2 << u)))  # bits above u
+            self._edges = tuple((u, u + 1 + j) for u, row in enumerate(self.bits)
+                                for j in _members(row >> (u + 1)))  # bits above u
         return self._edges
 
     def degree(self, v: int) -> int:
@@ -74,7 +74,9 @@ def _pack_rows(widths: Sequence[int],
     rows times the widest of them stays within _BLOCK_CELLS (a wider row
     gets a block of its own), so the transient cost follows the rows, not
     the vertex count. fill(start, stop, width) returns rows start..stop-1
-    as a boolean array of stop - start rows and 1..width columns.
+    as a boolean array of stop - start rows and 1..width columns. Each
+    block is padded to whole bytes per row and packed as one flat array,
+    which numpy does far faster than packing along axis 1.
     """
     rows: list[int] = []
     start = 0
@@ -83,12 +85,26 @@ def _pack_rows(widths: Sequence[int],
         while stop < len(widths) and (stop + 1 - start) * max(width, widths[stop]) <= _BLOCK_CELLS:
             width = max(width, widths[stop])
             stop += 1
-        packed = np.packbits(fill(start, stop, width), axis=1, bitorder="little")
-        data, step = packed.tobytes(), packed.shape[1]
+        cells = fill(start, stop, width)
+        step = (cells.shape[1] + 7) // 8
+        if cells.shape[1] != 8 * step:
+            padded = np.zeros((stop - start, 8 * step), cells.dtype)
+            padded[:, :cells.shape[1]] = cells
+            cells = padded
+        data = np.packbits(cells.ravel(), bitorder="little").tobytes()
         rows.extend(int.from_bytes(data[i:i + step], "little")
                     for i in range(0, len(data), step))
         start = stop
     return rows
+
+
+def _unpack_rows(rows: Sequence[int], width: int) -> np.ndarray:
+    """Bitmask rows, each below 2**width, as a boolean block: one row per
+    mask, bit j in column j, width rounded up to whole bytes."""
+    nbytes = (width + 7) // 8
+    data = b"".join(row.to_bytes(nbytes, "little") for row in rows)
+    return np.unpackbits(np.frombuffer(data, np.uint8).reshape(len(rows), nbytes),
+                         axis=1, bitorder="little")
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

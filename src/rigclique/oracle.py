@@ -60,8 +60,9 @@ def exact_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[
     Phase one finds the clique number by branch and bound: roots follow a
     degeneracy order, candidates are pruned with a greedy-coloring upper
     bound. Phase two rebuilds the lexicographically first clique of that size
-    by ascending-id extension under the same bound. Both phases share one
-    node budget; exceeding it raises SearchBudgetExceeded.
+    by ascending-id extension under the same bound. Both phases run on
+    explicit stacks, so depth is not limited by Python's recursion limit,
+    and share one node budget; exceeding it raises SearchBudgetExceeded.
     """
     if g.n == 0:
         return ()
@@ -94,19 +95,31 @@ def exact_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[
 
     best = 0
 
-    def expand(rsize: int, pmask: int) -> None:
+    def expand(pmask: int) -> None:
+        # Search the cliques of one root (size 1) extended by pmask. A frame
+        # is [clique size so far, candidates left, their coloring, next index
+        # from the end]; a node is charged when its frame is made.
         nonlocal best
         charge()
         colored = color_sorted(pmask)
-        for v, c in reversed(colored):
-            if rsize + c <= best:
-                return  # everything earlier has color <= c
+        stack = [[1, pmask, colored, len(colored)]]
+        while stack:
+            frame = stack[-1]
+            rsize, pmask, colored, i = frame
+            i -= 1
+            if i < 0 or rsize + colored[i][1] <= best:
+                stack.pop()  # everything earlier has a color no higher
+                continue
+            v = colored[i][0]
+            frame[1] = pmask & ~(1 << v)
+            frame[3] = i
             sub = pmask & bits[v]
             if sub:
-                expand(rsize + 1, sub)
+                charge()
+                colored = color_sorted(sub)
+                stack.append([rsize + 1, sub, colored, len(colored)])
             elif rsize + 1 > best:
                 best = rsize + 1
-            pmask &= ~(1 << v)
 
     order = degeneracy_order(g)
     later = [0] * g.n
@@ -117,7 +130,7 @@ def exact_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[
     for v in order:
         p = bits[v] & later[v]
         if p and 1 + p.bit_count() > best:
-            expand(1, p)
+            expand(p)
         elif best < 1:
             best = 1
 
@@ -134,34 +147,31 @@ def exact_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[
                 rest ^= low
         return count
 
-    target = best
-    found: tuple[int, ...] | None = None
-
-    def extend(prefix: list[int], pmask: int) -> bool:
-        nonlocal found
-        charge()
-        need = target - len(prefix)
-        if need == 0:
-            found = tuple(prefix)
-            return True
-        if pmask.bit_count() < need or color_count(pmask) < need:
-            return False
-        while pmask:
-            low = pmask & -pmask
-            v = low.bit_length() - 1
-            pmask ^= low
-            prefix.append(v)
-            if extend(prefix, pmask & bits[v]):
-                return True
+    # Phase two: stack[d] holds the candidates not yet tried after the d
+    # vertices of prefix. Taking v charges the child node, which is dropped
+    # at once unless enough candidates and colors remain to reach best.
+    charge()  # the root, which can always reach best, so is never popped
+    prefix: list[int] = []
+    stack = [(1 << g.n) - 1]
+    while True:
+        need = best - len(prefix)
+        pmask = stack[-1]
+        if pmask.bit_count() < need:
+            stack.pop()
             prefix.pop()
-            if pmask.bit_count() < need:
-                return False
-        return False
-
-    full = (1 << g.n) - 1
-    extend([], full)
-    assert found is not None
-    return found
+            continue
+        low = pmask & -pmask
+        v = low.bit_length() - 1
+        stack[-1] = pmask ^ low
+        prefix.append(v)
+        charge()
+        if need == 1:
+            return tuple(prefix)
+        sub = stack[-1] & bits[v]
+        if sub.bit_count() >= need - 1 and color_count(sub) >= need - 1:
+            stack.append(sub)
+        else:
+            prefix.pop()
 
 
 def iter_maximal_cliques(g: Graph) -> Iterator[tuple[int, ...]]:

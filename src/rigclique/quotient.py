@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _pack_rows
+from .graph import Graph, _pack_rows, _unpack_rows
 from .oracle import DEFAULT_NODE_BUDGET, SearchBudgetExceeded
 
 DEFAULT_QUOTIENT_CAP = 10_000
@@ -96,11 +96,8 @@ def quotient_graph(g: Graph, partition: Partition) -> QuotientGraph:
     nonzero = [a for a, row in enumerate(rep_rows) if row]
 
     def fill(start: int, stop: int, width: int) -> np.ndarray:
-        nbytes = (width + 7) // 8
-        data = b"".join(rep_rows[a].to_bytes(nbytes, "little") for a in nonzero[start:stop])
-        cells = np.unpackbits(np.frombuffer(data, np.uint8).reshape(stop - start, nbytes),
-                              axis=1, bitorder="little")
-        return cells[:, reps[:np.searchsorted(reps, width)]]
+        cells = _unpack_rows([rep_rows[a] for a in nonzero[start:stop]], width)
+        return cells.take(reps[:np.searchsorted(reps, width)], axis=1)
 
     rows = [0] * len(classes)
     for a, row in zip(nonzero, _pack_rows([rep_rows[a].bit_length() for a in nonzero], fill)):
@@ -108,26 +105,43 @@ def quotient_graph(g: Graph, partition: Partition) -> QuotientGraph:
     return QuotientGraph(tuple(len(cls) for cls in classes), Graph(len(classes), tuple(rows)))
 
 
+def _renumbered_rows(rows: tuple[int, ...], perm: list[int]) -> list[int]:
+    """Rows of the same graph with node i standing for node perm[i].
+
+    Built in blocks: the rows perm[start:stop] are unpacked, their columns
+    taken in perm order and the result packed again.
+    """
+    k = len(rows)
+    columns = np.array(perm)
+
+    def fill(start: int, stop: int, width: int) -> np.ndarray:
+        return _unpack_rows([rows[c] for c in perm[start:stop]], k).take(columns, axis=1)
+
+    return _pack_rows([k] * k, fill)
+
+
 def max_weight_quotient_clique(q: QuotientGraph,
                                cap: int = DEFAULT_QUOTIENT_CAP,
                                node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, ...]:
     """Maximum-weight clique of the quotient, as sorted class indices.
 
-    Branch and bound over bitmask rows, on explicit stacks. The initial
-    order is the class index order, that is classes by smallest member.
-    The upper bound is greedy colouring with weight splitting: peel one
-    greedy independent set in ascending class index, charge it the
-    smallest residual weight among its members, and bound each class by
-    the running total at the step its residual weight reaches zero. A
-    clique meets each peeled set at most once, so it weighs no more than
-    the bound of its last class to run out.
+    Branch and bound over bitmask rows, on explicit stacks. The upper bound
+    is greedy colouring with weight splitting: peel one greedy independent
+    set in ascending node order, charge it the smallest residual weight
+    among its members, and bound each node by the running total at the
+    step its residual weight reaches zero. A clique meets each peeled set
+    at most once, so it weighs no more than the bound of its last node to
+    run out.
 
     Phase one finds the best weight, branching from the highest bound down.
-    Phase two extends in ascending class index until the first clique of
-    exactly that weight, so ties go to the lexicographically smallest index
-    tuple. Each node of either phase costs one unit of node_budget; running
-    out raises SearchBudgetExceeded. Refuses quotients larger than cap
-    classes.
+    It runs on the classes renumbered by degree, highest first, the initial
+    order of Tomita and Seki's MCQ: high-degree classes colour first, so
+    the bounds are tight where the search branches. Phase two, in class
+    index order (classes by smallest member), extends in ascending index
+    until the first clique of exactly that weight, so ties go to the
+    lexicographically smallest index tuple. Each node of either phase
+    costs one unit of node_budget; running out raises
+    SearchBudgetExceeded. Refuses quotients larger than cap classes.
     """
     if q.k > cap:
         raise QuotientCapExceeded(
@@ -135,16 +149,14 @@ def max_weight_quotient_clique(q: QuotientGraph,
             f"the input is too far from its quotient for this solver")
     if q.k == 0:
         return ()
-    weights = q.weights
-    rows = q.graph.bits
-    # others[v] clears v and its neighbours: what stays independent of v
-    others = [~(row | (1 << v)) for v, row in enumerate(rows)]
     budget = node_budget
 
-    def node(pmask: int) -> tuple[list[int], list[int]]:
+    def node(pmask: int, others: list[int], weights: tuple[int, ...]
+             ) -> tuple[list[int], list[int]]:
         # Charge one node, then colour pmask with weight splitting; returns
-        # the classes in the order their residual weight runs out, beside
-        # their (nondecreasing) bounds.
+        # the nodes in the order their residual weight runs out, beside
+        # their (nondecreasing) bounds. others[v] clears v and its
+        # neighbours: what stays independent of v.
         nonlocal budget
         budget -= 1
         if budget < 0:
@@ -175,16 +187,20 @@ def max_weight_quotient_clique(q: QuotientGraph,
         return order, bounds
 
     full = (1 << q.k) - 1
+    perm = sorted(range(q.k), key=lambda c: -q.graph.degree(c))
+    rows = _renumbered_rows(q.graph.bits, perm)
+    weights = tuple(q.weights[c] for c in perm)
+    others = [~(row | (1 << v)) for v, row in enumerate(rows)]
     best = 0
     # frame: [weight so far, candidates, order, bounds, next index from the end]
-    order, bounds = node(full)
+    order, bounds = node(full, others, weights)
     stack = [[0, full, order, bounds, len(order)]]
     while stack:
         frame = stack[-1]
         weight, pmask, order, bounds, i = frame
         i -= 1
         if i < 0 or weight + bounds[i] <= best:
-            stack.pop()  # every class left has a bound no higher
+            stack.pop()  # every node left has a bound no higher
             continue
         v = order[i]
         frame[1] = pmask ^ (1 << v)
@@ -193,9 +209,12 @@ def max_weight_quotient_clique(q: QuotientGraph,
         best = max(best, weight)
         sub = pmask & rows[v]
         if sub:
-            order, bounds = node(sub)
+            order, bounds = node(sub, others, weights)
             stack.append([weight, sub, order, bounds, len(order)])
 
+    weights = q.weights
+    rows = q.graph.bits
+    others = [~(row | (1 << v)) for v, row in enumerate(rows)]
     # frame: [weight so far, candidates above the last class taken, their weight]
     prefix: list[int] = []
     stack = [[0, full, sum(weights)]]
@@ -216,7 +235,7 @@ def max_weight_quotient_clique(q: QuotientGraph,
             return tuple(prefix)
         sub = frame[1] & rows[v]
         if sub:
-            order, bounds = node(sub)
+            order, bounds = node(sub, others, weights)
             if weight + bounds[-1] >= best:
                 prefix.append(v)
                 stack.append([weight, sub, sum(weights[c] for c in order)])

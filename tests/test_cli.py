@@ -93,6 +93,19 @@ class TestCliqueCommands:
         label_size = int(labels.stdout.splitlines()[0].split()[1])
         assert label_size <= len(clique)
 
+    def test_deep_clique_under_default_budget(self, tmp_path):
+        # K_1100: as many search levels as vertices, far past Python's
+        # recursion limit; both solvers print the same clique
+        n = 1100
+        lines = [f"{n} {n * (n - 1) // 2}"]
+        lines += [f"{u} {v}" for u in range(n) for v in range(u + 1, n)]
+        (tmp_path / "g.txt").write_text("\n".join(lines) + "\n")
+        expected = f"size {n}\n" + " ".join(map(str, range(n))) + "\n"
+        for command in ("oracle", "solve"):
+            proc = run_cli(command, "--graph", "g.txt", cwd=tmp_path)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert proc.stdout == expected
+
     def test_oracle_budget_refusal_is_runtime_failure(self, tmp_path):
         run_cli("gen", "--n", "40", "--m", "6", "--p", "0.4", "--seed", "2",
                 "--out-graph", "g.txt", cwd=tmp_path)
@@ -185,6 +198,13 @@ class TestExperiment:
                        "--budget", "1", cwd=tmp_path)
         assert proc.returncode == 0
         assert "# summary,errors,2" in proc.stdout.splitlines()
+
+    def test_single_label_with_one_large_label(self, tmp_path):
+        # every vertex has the one label: a single quotient class of 1,100
+        proc = run_cli("experiment", "single_label", "--n", "1100", "--m", "1",
+                       "--p", "1", "--trials", "1", cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[1] == "0,ok,1100,1100,1,1,1"
 
 
 class TestExitCodes:

@@ -1,10 +1,13 @@
+import functools
 import math
 
 import pytest
 
 import rigclique.experiments as experiments
-from rigclique import (PRESETS, ExperimentConfig, RigParams, label_deviation_bound,
-                       resolve_params, run_experiment, set_size_bound)
+from rigclique import (PRESETS, ExperimentConfig, RigParams, exact_max_clique,
+                       find_max_clique, induced_graph, label_deviation_bound,
+                       resolve_params, run_experiment, sample_label_representation,
+                       set_size_bound)
 
 
 def summary_consistent(stats):
@@ -86,6 +89,34 @@ class TestSingleLabelKind:
         assert stats.summary["errors"] == 2
         assert stats.summary["equal_frac"] == 0.0
         summary_consistent(stats)
+
+    def test_cap_refusal_becomes_error_row(self, monkeypatch):
+        monkeypatch.setattr(experiments, "find_max_clique",
+                            functools.partial(find_max_clique, quotient_cap=1))
+        cfg = ExperimentConfig("single_label", PRESETS["SL-100"], trials=2, seed=1)
+        stats = run_experiment(cfg)
+        assert stats.to_csv().splitlines()[1:3] == ["0,error,,,,,", "1,error,,,,,"]
+        assert stats.summary["errors"] == 2
+        summary_consistent(stats)
+
+    def test_no_vertices(self):
+        # the quotient solver needs a vertex; the empty graph's clique is empty
+        cfg = ExperimentConfig("single_label", resolve_params(n=0, m=2, p=0.5),
+                               trials=1, seed=3)
+        assert run_experiment(cfg).to_csv().splitlines()[1] == "0,ok,0,0,1,1,"
+
+    def test_rows_match_oracle_at_sl_100(self):
+        # the rows come from the quotient solver; recompute them on G with
+        # the independent branch and bound
+        params = PRESETS["SL-100"]
+        stats = run_experiment(ExperimentConfig("single_label", params, trials=20, seed=1))
+        for trial, row in enumerate(stats.rows):
+            rep = sample_label_representation(params, 1, trial)
+            clique = set(exact_max_clique(induced_graph(rep)))
+            assert row["status"] == "ok"
+            assert row["omega"] == len(clique)
+            assert row["clique_within_one_label"] == any(clique <= s
+                                                         for s in rep.label_members)
 
 
 class TestConcentrationKind:

@@ -63,6 +63,12 @@ class TestBuildGraph:
         assert all(u < v for u, v in g.edges)
         assert build_graph(g.n, g.edges) == g
 
+    def test_edges_of_sparse_wide_graph(self):
+        # deriving the pairs follows the rows, not the vertex count
+        n = 200_000
+        g = build_graph(n, [(n - 1, 3), (0, 1)])
+        assert g.edges == ((0, 1), (3, n - 1))
+
 
 class TestLabelRepresentation:
     def test_inverse_consistency(self):

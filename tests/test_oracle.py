@@ -7,7 +7,8 @@ from rigclique import (CYCLE_FOUND, CYCLE_NONE, CYCLE_UNKNOWN, LabeledCycle,
                        LabelRepresentation, SearchBudgetExceeded, build_graph,
                        check_labeled_cycle, degeneracy_order,
                        enumerate_maximal_cliques, exact_intersection_number,
-                       exact_max_clique, find_distinct_label_cycle)
+                       exact_max_clique, find_distinct_label_cycle, induced_graph,
+                       resolve_params, sample_label_representation)
 
 from helpers import (all_maximal_cliques, complete_graph,
                      exhaustive_labeled_cycle_exists, mask_is_clique,
@@ -72,6 +73,17 @@ class TestExactMaxClique:
     def test_result_is_stable(self):
         g = random_graph(random.Random(5), 40, 0.5)
         assert exact_max_clique(g) == exact_max_clique(g)
+
+    @pytest.mark.parametrize("n, m, p, omega, nodes", [
+        (400, 10, 0.2, 91, 940),  # ladder rung L1
+        (400, 6, 0.3, 126, 672),  # a single-label-dense trial; phase two's colour check prunes
+    ])
+    def test_exact_node_count(self, n, m, p, omega, nodes):
+        g = induced_graph(sample_label_representation(
+            resolve_params(n=n, m=m, p=p), seed=1, trial=0))
+        assert len(exact_max_clique(g, node_budget=nodes)) == omega
+        with pytest.raises(SearchBudgetExceeded, match=f"node budget {nodes - 1}"):
+            exact_max_clique(g, node_budget=nodes - 1)
 
 
 class TestDegeneracyOrder:

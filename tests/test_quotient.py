@@ -14,6 +14,7 @@ from rigclique import (Graph, Partition, QuotientCapExceeded, QuotientGraph,
                        exact_intersection_number, exact_max_clique, find_max_clique,
                        induced_graph, is_clique, max_weight_quotient_clique,
                        quotient_graph, resolve_params, sample_label_representation)
+from rigclique.quotient import _renumbered_rows
 
 from helpers import (check_quotient, closed_neighborhood, complete_graph,
                      pairwise_partition, quotient_rows_loop, random_graph,
@@ -194,6 +195,18 @@ class TestMaxWeightQuotientClique:
                                 rng.choice([1, 2, 4]))
             assert max_weight_quotient_clique(q) == subset_max_weight_clique(q)
 
+    @pytest.mark.parametrize("block_cells", [64, 1 << 24])
+    def test_renumbered_rows_permute_the_graph(self, monkeypatch, block_cells):
+        monkeypatch.setattr(rigclique.graph, "_BLOCK_CELLS", block_cells)
+        rng = random.Random(59)
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(1, 40), rng.choice([0.1, 0.5, 0.9]))
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            where = {c: i for i, c in enumerate(perm)}
+            renamed = build_graph(g.n, [(where[u], where[v]) for u, v in g.edges])
+            assert tuple(_renumbered_rows(g.bits, perm)) == renamed.bits
+
     def test_deep_quotient_cocktail_party(self):
         # K_{2x1050}: every vertex misses only its partner v ^ 1, so each is its
         # own class and the maximum clique takes one vertex of all 1,050 pairs;
@@ -240,19 +253,32 @@ class TestFindMaxClique:
             assert rebuilt == list(clique)
 
     def test_solves_l1_within_fixed_node_budget(self):
-        # ladder rung L1; both search phases together take 123 nodes
+        # ladder rung L1; both search phases together take 107 nodes (54 + 53)
         rep = sample_label_representation(resolve_params(n=400, m=10, p=0.2), seed=1, trial=0)
         g = induced_graph(rep)
         clique = find_max_clique(g, node_budget=250)
         assert is_clique(g, clique)
         assert len(clique) == len(exact_max_clique(g))
 
+    @pytest.mark.parametrize("n, m, p, nodes", [
+        (400, 10, 0.2, 107),  # ladder rung L1: 54 nodes in phase one, 53 in phase two
+        (400, 6, 0.3, 53),  # a single-label-dense trial: 25 + 28
+    ])
+    def test_exact_node_count(self, n, m, p, nodes):
+        g = induced_graph(sample_label_representation(resolve_params(n=n, m=m, p=p),
+                                                      seed=1, trial=0))
+        assert find_max_clique(g, node_budget=nodes) == exact_max_clique(g)
+        with pytest.raises(SearchBudgetExceeded, match=f"node budget {nodes - 1}"):
+            find_max_clique(g, node_budget=nodes - 1)
+
     @given(n=st.integers(1, 300), m=st.integers(1, 10), p=st.floats(0.02, 0.35),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle_on_sampled_rig(self, n, m, p, seed):
+        # the same tuple, not just the same size: both return the
+        # lexicographically smallest maximum clique
         g = induced_graph(sample_label_representation(resolve_params(n=n, m=m, p=p), seed))
-        assert len(find_max_clique(g)) == len(exact_max_clique(g))
+        assert find_max_clique(g) == exact_max_clique(g)
 
 
 class TestQuotientSizeBound:
