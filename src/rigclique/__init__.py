@@ -2,7 +2,7 @@
 graph model, and a Monte Carlo harness for the model's structural claims."""
 
 from .graph import (Graph, GraphError, LabelRepresentation, build_graph,
-                    induced_graph, is_chordal, is_clique)
+                    build_labels, induced_graph, is_chordal, is_clique)
 from .io import (FormatError, decode_graph, decode_labels, encode_graph,
                  encode_labels)
 from .oracle import (CYCLE_FOUND, CYCLE_NONE, CYCLE_UNKNOWN, LabeledCycle,
@@ -20,8 +20,8 @@ from .experiments import (KINDS, PRESETS, ExperimentConfig, TrialStats,
                           label_deviation_bound, run_experiment, set_size_bound)
 
 __all__ = [
-    "Graph", "GraphError", "LabelRepresentation", "build_graph", "induced_graph",
-    "is_chordal", "is_clique",
+    "Graph", "GraphError", "LabelRepresentation", "build_graph", "build_labels",
+    "induced_graph", "is_chordal", "is_clique",
     "FormatError", "decode_graph", "decode_labels", "encode_graph", "encode_labels",
     "CYCLE_FOUND", "CYCLE_NONE", "CYCLE_UNKNOWN", "LabeledCycle",
     "SearchBudgetExceeded", "check_labeled_cycle", "degeneracy_order",

@@ -97,17 +97,17 @@ def _single_label_trial(cfg: ExperimentConfig, trial: int) -> dict[str, object]:
     rep = sample_label_representation(cfg.params, cfg.seed, trial)
     g = induced_graph(rep)
     try:
-        clique = find_max_clique(g, node_budget=cfg.oracle_budget) if g.n else ()
+        clique = find_max_clique(g, node_budget=cfg.oracle_budget)
     except (SearchBudgetExceeded, QuotientCapExceeded):
         return {"trial": trial, "status": "error"}
     omega = len(clique)
-    max_label = max((len(s) for s in rep.label_members), default=0)
+    max_label = max((mask.bit_count() for mask in rep.masks), default=0)
     if max_label > omega:
         # label member sets are cliques, so this can only mean a bug
         raise RuntimeError(
             f"trial {trial}: max label size {max_label} exceeds clique number {omega}")
-    members = set(clique)
-    contained = any(members <= s for s in rep.label_members)
+    clique_mask = sum(1 << v for v in clique)
+    contained = any(not clique_mask & ~mask for mask in rep.masks)
     expected = cfg.params.n * cfg.params.p
     ratio = omega / expected if expected > 0 else None
     return {"trial": trial, "status": "ok", "omega": omega,

@@ -60,7 +60,8 @@ class Graph:
         return hash((self.n, self.bits))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={len(self.edges)})"
+        edges = sum(map(int.bit_count, self.bits)) // 2  # leaves the edge list underived
+        return f"Graph(n={self.n}, edges={edges})"
 
 
 _BLOCK_CELLS = 1 << 24  # cells in one transient block: 16 MB of booleans
@@ -129,57 +130,59 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 class LabelRepresentation:
-    """Per-vertex label sets S_v together with the inverse member sets L_i.
+    """Label member sets L_0..L_{m-1} on vertices 0..n-1, one bitmask per
+    label. Build via build_labels() or sample_label_representation()."""
 
-    The two views are kept consistent by construction: i is in label_sets[v]
-    exactly when v is in label_members[i].
-    """
+    __slots__ = ("n", "m", "masks")
 
-    __slots__ = ("n", "m", "label_sets", "label_members")
-
-    def __init__(self, n: int, m: int, label_sets: Iterable[Iterable[int]]):
-        if n < 0 or m < 0:
-            raise GraphError(f"counts must be >= 0, got n={n}, m={m}")
-        sets = [frozenset(int(i) for i in s) for s in label_sets]
-        if len(sets) != n:
-            raise GraphError(f"expected {n} label sets, got {len(sets)}")
-        members: list[set[int]] = [set() for _ in range(m)]
-        for v, s in enumerate(sets):
-            for i in s:
-                if not (0 <= i < m):
-                    raise GraphError(f"label {i} out of range for m={m} (vertex {v})")
-                members[i].add(v)
+    def __init__(self, n: int, m: int, masks: tuple[int, ...]):
         self.n = n
         self.m = m
-        self.label_sets = tuple(sets)
-        self.label_members = tuple(frozenset(ms) for ms in members)
+        self.masks = masks  # bitmask per label, bit v set iff vertex v holds label i
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabelRepresentation):
             return NotImplemented
-        return (self.n, self.m, self.label_sets) == (other.n, other.m, other.label_sets)
+        return (self.n, self.m, self.masks) == (other.n, other.m, other.masks)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.m, self.label_sets))
+        return hash((self.n, self.m, self.masks))
 
     def __repr__(self) -> str:
         return f"LabelRepresentation(n={self.n}, m={self.m})"
 
 
+def build_labels(n: int, m: int, label_sets: Iterable[Iterable[int]]) -> LabelRepresentation:
+    """Validated constructor from per-vertex label sets S_0..S_{n-1}.
+
+    Rejects negative counts, a number of sets other than n, and label ids
+    outside 0..m-1, naming the offending vertex. Repeated ids are harmless.
+    """
+    if n < 0 or m < 0:
+        raise GraphError(f"counts must be >= 0, got n={n}, m={m}")
+    sets = list(label_sets)
+    if len(sets) != n:
+        raise GraphError(f"expected {n} label sets, got {len(sets)}")
+    masks = [0] * m
+    for v, s in enumerate(sets):
+        for i in s:
+            if not (0 <= i < m):
+                raise GraphError(f"label {i} out of range for m={m} (vertex {v})")
+            masks[i] |= 1 << v
+    return LabelRepresentation(n, m, tuple(masks))
+
+
 def induced_graph(rep: LabelRepresentation) -> Graph:
     """Graph with an edge wherever two vertices share at least one label.
 
-    Each L_i contributes a clique: a vertex's row is the union of the member
-    masks of its labels, minus the vertex itself.
+    Each L_i contributes a clique: its mask is ORed into the row of every
+    member, and each row then drops its own vertex.
     """
-    label_masks = [sum(1 << v for v in members) for members in rep.label_members]
-    bits = []
-    for v, labels in enumerate(rep.label_sets):
-        row = 0
-        for i in labels:
-            row |= label_masks[i]
-        bits.append(row & ~(1 << v))
-    return Graph(rep.n, tuple(bits))
+    bits = [0] * rep.n
+    for mask in rep.masks:
+        for v in _members(mask):
+            bits[v] |= mask
+    return Graph(rep.n, tuple(row & ~(1 << v) for v, row in enumerate(bits)))
 
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:

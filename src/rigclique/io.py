@@ -21,7 +21,8 @@ import re
 
 import numpy as np
 
-from .graph import Graph, LabelRepresentation, _pack_rows, build_graph
+from .graph import (Graph, LabelRepresentation, _members, _pack_rows, build_graph,
+                    build_labels)
 
 _CANONICAL_HEADER = re.compile(rb"([0-9]{1,18}) ([0-9]{1,18})\n")
 _MAX_DIGITS = 18  # np.fromstring saturates longer tokens without a warning
@@ -154,15 +155,14 @@ def decode_labels(text: str) -> LabelRepresentation:
             if not (0 <= i < m):
                 raise FormatError(f"label {i} out of range for m={m} (vertex {v})")
         label_sets.append(labels)
-    return LabelRepresentation(n, m, label_sets)
+    return build_labels(n, m, label_sets)
 
 
 def encode_labels(rep: LabelRepresentation) -> str:
-    lines = [f"{rep.n} {rep.m}"]
-    for v in range(rep.n):
-        s = rep.label_sets[v]
-        if s:
-            lines.append(f"{v}: " + " ".join(str(i) for i in sorted(s)))
-        else:
-            lines.append(f"{v}:")
+    """Label file text; each vertex's line lists its labels ascending."""
+    tails = [""] * rep.n
+    for i, mask in enumerate(rep.masks):
+        for v in _members(mask):
+            tails[v] += f" {i}"
+    lines = [f"{rep.n} {rep.m}"] + [f"{v}:{tail}" for v, tail in enumerate(tails)]
     return "\n".join(lines) + "\n"

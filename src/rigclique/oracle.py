@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
-from .graph import Graph, LabelRepresentation
+from .graph import Graph, LabelRepresentation, _members
 
 DEFAULT_NODE_BUDGET = 2_000_000
 DEFAULT_MAX_CLIQUES = 500_000
@@ -44,11 +44,7 @@ def degeneracy_order(g: Graph) -> tuple[int, ...]:
             continue  # stale entry
         alive ^= 1 << v
         out.append(v)
-        rest = g.bits[v] & alive
-        while rest:
-            low = rest & -rest
-            w = low.bit_length() - 1
-            rest ^= low
+        for w in _members(g.bits[v] & alive):
             deg[w] -= 1
             heapq.heappush(heap, (deg[w], w))
     return tuple(out)
@@ -178,16 +174,17 @@ def iter_maximal_cliques(g: Graph) -> Iterator[tuple[int, ...]]:
     """Yield every maximal clique exactly once, as a sorted vertex tuple.
 
     Bron-Kerbosch with a greedy pivot (adjacent to the most candidates,
-    smallest id on ties); emission order is deterministic.
+    smallest id on ties); emission order is deterministic. It runs on an
+    explicit stack, so clique size is not limited by Python's recursion
+    limit.
     """
     if g.n == 0:
         return
     bits = g.bits
 
-    def bk(prefix: list[int], p: int, x: int) -> Iterator[tuple[int, ...]]:
-        if not p and not x:
-            yield tuple(sorted(prefix))
-            return
+    def frame(p: int, x: int, v: int) -> list[int]:
+        # [candidates, excluded, branches left, the vertex that opened it];
+        # the branches are the candidates the pivot does not see, ascending.
         scan = p | x
         pivot = -1
         pivot_count = -1
@@ -198,18 +195,23 @@ def iter_maximal_cliques(g: Graph) -> Iterator[tuple[int, ...]]:
             count = (p & bits[u]).bit_count()
             if count > pivot_count:
                 pivot_count, pivot = count, u
-        cand = p & ~bits[pivot]
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            prefix.append(v)
-            yield from bk(prefix, p & bits[v], x & bits[v])
-            prefix.pop()
-            p &= ~low
-            x |= low
+        return [p, x, p & ~bits[pivot], v]
 
-    yield from bk([], (1 << g.n) - 1, 0)
+    stack = [frame((1 << g.n) - 1, 0, -1)]
+    while stack:
+        top = stack[-1]
+        p, x, cand, _ = top
+        if not cand:
+            stack.pop()
+            continue
+        low = cand & -cand
+        v = low.bit_length() - 1
+        top[0], top[1], top[2] = p ^ low, x | low, cand ^ low
+        sub_p, sub_x = p & bits[v], x & bits[v]
+        if sub_p:
+            stack.append(frame(sub_p, sub_x, v))
+        elif not sub_x:
+            yield tuple(sorted([f[3] for f in stack[1:]] + [v]))
 
 
 def enumerate_maximal_cliques(g: Graph,
@@ -246,11 +248,8 @@ def exact_intersection_number(g: Graph) -> int:
             masks.append(mask)
     by_edge: list[list[int]] = [[] for _ in g.edges]
     for mask in masks:
-        rest = mask
-        while rest:
-            low = rest & -rest
-            by_edge[low.bit_length() - 1].append(mask)
-            rest ^= low
+        for k in _members(mask):
+            by_edge[k].append(mask)
 
     @lru_cache(maxsize=None)
     def cover(uncovered: int) -> int:
@@ -284,7 +283,8 @@ def check_labeled_cycle(rep: LabelRepresentation, cycle: LabeledCycle) -> None:
     for j in range(k):
         v, w = cycle.vertices[j], cycle.vertices[(j + 1) % k]
         lab = cycle.labels[j]
-        if lab not in rep.label_sets[v] or lab not in rep.label_sets[w]:
+        mask = rep.masks[lab] if 0 <= lab < rep.m else 0
+        if min(v, w) < 0 or not (mask >> v) & (mask >> w) & 1:
             raise ValueError(f"label {lab} does not join vertices {v} and {w}")
 
 
@@ -304,13 +304,11 @@ def find_distinct_label_cycle(rep: LabelRepresentation,
     """
     n, m = rep.n, rep.m
     total = n + m
-    adj: list[list[int]] = [[] for _ in range(total)]
-    for v in range(n):
-        for i in sorted(rep.label_sets[v]):
+    adj: list[list[int]] = [[] for _ in range(total)]  # ascending, by construction
+    for i, mask in enumerate(rep.masks):
+        for v in _members(mask):
             adj[v].append(n + i)
             adj[n + i].append(v)
-    for ls in adj:
-        ls.sort()
 
     # peel to the 2-core; a cycle survives peeling
     degree = [len(ls) for ls in adj]

@@ -247,11 +247,9 @@ def find_max_clique(g: Graph, quotient_cap: int = DEFAULT_QUOTIENT_CAP,
     vertex tuple.
 
     Partition, collapse, solve the weighted quotient, then take the union of
-    the selected classes. Requires at least one vertex. The quotient search
+    the selected classes; the empty graph gives (). The quotient search
     refuses above quotient_cap classes or node_budget search nodes.
     """
-    if g.n == 0:
-        raise ValueError("graph has no vertices")
     partition = closed_neighborhood_partition(g)
     q = quotient_graph(g, partition)
     chosen = max_weight_quotient_clique(q, cap=quotient_cap, node_budget=node_budget)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
 from .graph import Graph, LabelRepresentation, induced_graph
 from .oracle import DEFAULT_MAX_CLIQUES, enumerate_maximal_cliques
@@ -53,32 +52,33 @@ def reconstruct_labels(g: Graph, m: int, p: float,
     if floor > 2.0:
         candidates = [c for c in candidates if len(c) >= floor]
     candidates.sort(key=lambda c: (-len(c), c))
-    pair_sets = [frozenset(combinations(c, 2)) for c in candidates]
+    masks = [sum(1 << v for v in c) for c in candidates]
 
-    uncovered = set(g.edges)
-    chosen: list[tuple[int, ...]] = []
-    while uncovered and len(chosen) < m:
+    # uncovered[v] masks the neighbours of v whose edge no chosen clique
+    # covers yet; a clique's fresh count sees each such edge from both ends
+    uncovered = list(g.bits)
+    total = sum(map(int.bit_count, uncovered)) // 2
+    left = total
+    chosen: list[int] = []
+    while left and len(chosen) < m:
         best = -1
         best_fresh = 0
-        for i, pairs in enumerate(pair_sets):
-            fresh = len(uncovered & pairs)
+        for i, (clique, mask) in enumerate(zip(candidates, masks)):
+            fresh = sum((uncovered[v] & mask).bit_count() for v in clique)
             if fresh > best_fresh:  # ties keep the earlier, bigger clique
                 best, best_fresh = i, fresh
         if best < 0:
             break  # leftovers sit outside every candidate
-        chosen.append(candidates[best])
-        uncovered -= pair_sets[best]
-    covered = len(g.edges) - len(uncovered)
-    if uncovered:
-        return ReconstructionResult(None, False, covered, len(candidates))
+        chosen.append(masks[best])
+        for v in candidates[best]:
+            uncovered[v] &= ~masks[best]
+        left -= best_fresh // 2
+    if left:
+        return ReconstructionResult(None, False, total - left, len(candidates))
 
-    label_sets: list[list[int]] = [[] for _ in range(g.n)]
-    for i, clique in enumerate(chosen):
-        for v in clique:
-            label_sets[v].append(i)
-    rep = LabelRepresentation(g.n, m, label_sets)
+    rep = LabelRepresentation(g.n, m, tuple(chosen) + (0,) * (m - len(chosen)))
     valid = induced_graph(rep) == g
-    return ReconstructionResult(rep, valid, covered, len(candidates))
+    return ReconstructionResult(rep, valid, total, len(candidates))
 
 
 def reps_equivalent(a: LabelRepresentation, b: LabelRepresentation) -> bool:
@@ -90,6 +90,6 @@ def reps_equivalent(a: LabelRepresentation, b: LabelRepresentation) -> bool:
     """
     if a.n != b.n:
         raise ValueError(f"vertex counts differ: {a.n} != {b.n}")
-    count_a = Counter(s for s in a.label_members if len(s) >= 2)
-    count_b = Counter(s for s in b.label_members if len(s) >= 2)
+    count_a = Counter(mask for mask in a.masks if mask.bit_count() >= 2)
+    count_b = Counter(mask for mask in b.masks if mask.bit_count() >= 2)
     return count_a == count_b

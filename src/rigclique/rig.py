@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import LabelRepresentation
+from .graph import LabelRepresentation, _members
 
 MAX_SEED = 2**64 - 1
 
@@ -92,22 +92,19 @@ def sample_membership(params: RigParams, seed: int, trial: int = 0) -> np.ndarra
 
 def sample_label_representation(params: RigParams, seed: int,
                                 trial: int = 0) -> LabelRepresentation:
-    """Sample one label representation from the trial's stream."""
-    matrix = sample_membership(params, seed, trial)
-    label_sets = [[int(i) for i in np.flatnonzero(row)] for row in matrix]
-    return LabelRepresentation(params.n, params.m, label_sets)
+    """Sample one label representation from the trial's stream: column i
+    of the membership matrix, packed little-endian, is the mask of label i."""
+    columns = np.packbits(sample_membership(params, seed, trial).T, axis=1, bitorder="little")
+    return LabelRepresentation(params.n, params.m,
+                               tuple(int.from_bytes(row.tobytes(), "little") for row in columns))
 
 
 def max_clique_from_labels(rep: LabelRepresentation) -> tuple[int, ...]:
     """Largest label member set L_i, as a sorted vertex tuple.
 
-    Ties go to the smallest label index (strict-improvement scan). When all
+    Ties go to the smallest label index, the first maximum. When all
     label sets are empty, the answer is the empty tuple, even though any
     single vertex would be a larger clique; this keeps the label-only rule
     exact, and callers can special-case edgeless inputs if they want.
     """
-    best: frozenset[int] = frozenset()
-    for members in rep.label_members:
-        if len(members) > len(best):
-            best = members
-    return tuple(sorted(best))
+    return tuple(_members(max(rep.masks, key=int.bit_count, default=0)))

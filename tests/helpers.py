@@ -12,7 +12,8 @@ import random
 from itertools import combinations, permutations
 from pathlib import Path
 
-from rigclique import Graph, LabelRepresentation, Partition, QuotientGraph, build_graph
+from rigclique import (Graph, LabelRepresentation, Partition, QuotientGraph, build_graph,
+                       build_labels)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,7 +36,18 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 
 def random_label_rep(rng: random.Random, n: int, m: int, p: float) -> LabelRepresentation:
     sets = [[i for i in range(m) if rng.random() < p] for _ in range(n)]
-    return LabelRepresentation(n, m, sets)
+    return build_labels(n, m, sets)
+
+
+def label_sets(rep: LabelRepresentation) -> tuple[frozenset[int], ...]:
+    """S_v for each vertex v, read bit by bit from the label masks."""
+    return tuple(frozenset(i for i in range(rep.m) if (rep.masks[i] >> v) & 1)
+                 for v in range(rep.n))
+
+
+def label_members(rep: LabelRepresentation) -> tuple[frozenset[int], ...]:
+    """L_i for each label i, read bit by bit from its mask."""
+    return tuple(frozenset(v for v in range(rep.n) if (mask >> v) & 1) for mask in rep.masks)
 
 
 def complete_graph(n: int) -> Graph:
@@ -202,6 +214,25 @@ def check_quotient(g: Graph, partition: Partition, q: QuotientGraph) -> None:
                     f"cross pair ({u}, {v}) contradicts quotient edge ({a}, {b})={expect}"
 
 
+def greedy_pair_cover(g: Graph, m: int) -> tuple[list[tuple[int, ...]], int]:
+    """The greedy clique cover by its definition, over edges as sets of
+    pairs: candidates are all maximal cliques, larger then lexicographically
+    earlier first, and each of at most m steps takes the first candidate
+    covering the most uncovered edges. Returns the chosen cliques and the
+    count of edges left uncovered. Only sensible for n <= ~12."""
+    candidates = sorted(all_maximal_cliques(g), key=lambda c: (-len(c), c))
+    uncovered = set(g.edges)
+    chosen: list[tuple[int, ...]] = []
+    while uncovered and len(chosen) < m:
+        fresh = [len(uncovered & set(combinations(c, 2))) for c in candidates]
+        best = fresh.index(max(fresh))
+        if not fresh[best]:
+            break
+        chosen.append(candidates[best])
+        uncovered -= set(combinations(candidates[best], 2))
+    return chosen, len(uncovered)
+
+
 def exhaustive_labeled_cycle_exists(rep: LabelRepresentation) -> bool:
     """Try every cyclic vertex sequence with every distinct-label assignment.
     Only sensible for n + m <= ~10."""
@@ -216,12 +247,13 @@ def exhaustive_labeled_cycle_exists(rep: LabelRepresentation) -> bool:
 
 def _assign_labels(rep: LabelRepresentation, vs: tuple[int, ...]) -> bool:
     k = len(vs)
+    sets = label_sets(rep)
     used: set[int] = set()
 
     def go(j: int) -> bool:
         if j == k:
             return True
-        shared = rep.label_sets[vs[j]] & rep.label_sets[vs[(j + 1) % k]]
+        shared = sets[vs[j]] & sets[vs[(j + 1) % k]]
         for lab in shared:
             if lab not in used:
                 used.add(lab)

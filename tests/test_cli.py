@@ -106,6 +106,13 @@ class TestCliqueCommands:
             assert (proc.returncode, proc.stderr) == (0, "")
             assert proc.stdout == expected
 
+    def test_empty_graph(self, tmp_path):
+        (tmp_path / "g.txt").write_text("0 0\n")
+        for command in ("solve", "oracle"):
+            proc = run_cli(command, "--graph", "g.txt", cwd=tmp_path)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert proc.stdout == "size 0\n\n"
+
     def test_oracle_budget_refusal_is_runtime_failure(self, tmp_path):
         run_cli("gen", "--n", "40", "--m", "6", "--p", "0.4", "--seed", "2",
                 "--out-graph", "g.txt", cwd=tmp_path)
@@ -205,6 +212,14 @@ class TestExperiment:
                        "--p", "1", "--trials", "1", cwd=tmp_path)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.splitlines()[1] == "0,ok,1100,1100,1,1,1"
+
+    def test_reconstruction_with_one_large_label(self, tmp_path):
+        # one label of about 1,100 members: a maximal clique far deeper
+        # than Python's recursion limit
+        proc = run_cli("experiment", "reconstruction", "--n", "1100", "--m", "1",
+                       "--p", "0.999", "--trials", "1", cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[1] == "0,ok,1,1"
 
 
 class TestExitCodes:

@@ -9,6 +9,8 @@ from rigclique import (PRESETS, ExperimentConfig, RigParams, exact_max_clique,
                        resolve_params, run_experiment, sample_label_representation,
                        set_size_bound)
 
+from helpers import label_members
+
 
 def summary_consistent(stats):
     """Aggregate counts equal sums over rows; fractions stay in [0, 1]."""
@@ -116,7 +118,7 @@ class TestSingleLabelKind:
             assert row["status"] == "ok"
             assert row["omega"] == len(clique)
             assert row["clique_within_one_label"] == any(clique <= s
-                                                         for s in rep.label_members)
+                                                         for s in label_members(rep))
 
 
 class TestConcentrationKind:

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigclique import (FormatError, GraphError, LabelRepresentation, build_graph,
-                       decode_graph, decode_labels, encode_graph, encode_labels,
-                       induced_graph, is_chordal, is_clique)
+                       build_labels, decode_graph, decode_labels, encode_graph,
+                       encode_labels, induced_graph, is_chordal, is_clique)
 
-from helpers import (brute_chordal, complete_graph, has_chordless_cycle,
+from helpers import (brute_chordal, complete_graph, has_chordless_cycle, label_sets,
                      random_graph, two_triangles)
 
 
@@ -28,7 +28,7 @@ def label_reps(draw, max_n=8, max_m=5):
     n = draw(st.integers(min_value=0, max_value=max_n))
     m = draw(st.integers(min_value=0, max_value=max_m))
     sets = [draw(st.sets(st.integers(0, m - 1))) if m else set() for _ in range(n)]
-    return LabelRepresentation(n, m, sets)
+    return build_labels(n, m, sets)
 
 
 class TestBuildGraph:
@@ -69,52 +69,71 @@ class TestBuildGraph:
         g = build_graph(n, [(n - 1, 3), (0, 1)])
         assert g.edges == ((0, 1), (3, n - 1))
 
+    def test_repr_counts_edges_from_rows(self):
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        assert repr(g) == "Graph(n=4, edges=3)"
+        assert g._edges is None  # the edge list is still underived
+
 
 class TestLabelRepresentation:
     def test_inverse_consistency(self):
-        rep = LabelRepresentation(3, 2, [[0], [0, 1], [1]])
-        assert rep.label_members == (frozenset({0, 1}), frozenset({1, 2}))
+        rep = build_labels(3, 2, [[0], [0, 1], [1]])
+        assert rep.masks == (0b011, 0b110)
+        assert rep == LabelRepresentation(3, 2, (0b011, 0b110))
+
+    def test_slots(self):
+        assert LabelRepresentation.__slots__ == ("n", "m", "masks")
 
     def test_out_of_range_label(self):
         with pytest.raises(GraphError, match="label 2 out of range"):
-            LabelRepresentation(1, 2, [[2]])
+            build_labels(1, 2, [[2]])
 
     def test_wrong_set_count(self):
-        with pytest.raises(GraphError):
-            LabelRepresentation(2, 1, [[0]])
+        with pytest.raises(GraphError, match="expected 2 label sets, got 1"):
+            build_labels(2, 1, [[0]])
 
-    @given(label_reps())
-    def test_views_are_inverses(self, rep):
-        for v, s in enumerate(rep.label_sets):
-            for i in s:
-                assert v in rep.label_members[i]
-        for i, members in enumerate(rep.label_members):
-            for v in members:
-                assert i in rep.label_sets[v]
+    def test_negative_count(self):
+        with pytest.raises(GraphError, match="counts must be >= 0"):
+            build_labels(1, -1, [[]])
+
+    def test_repeated_label_is_harmless(self):
+        assert build_labels(2, 1, [[0, 0], [0]]) == build_labels(2, 1, [[0], [0]])
+
+    @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.sets(st.integers(0, 4)), min_size=n, max_size=n))))
+    def test_views_are_inverses(self, case):
+        n, sets = case
+        rep = build_labels(n, 5, sets)
+        assert len(rep.masks) == 5
+        for v in range(n):
+            for i in range(5):
+                assert (rep.masks[i] >> v) & 1 == (i in sets[v])
+        assert all(mask >> n == 0 for mask in rep.masks)
 
 
 class TestInducedGraph:
     def test_shared_labels_make_edges(self):
-        rep = LabelRepresentation(3, 2, [[0], [0, 1], [1]])
+        rep = build_labels(3, 2, [[0], [0, 1], [1]])
         assert induced_graph(rep).edges == ((0, 1), (1, 2))
 
     def test_no_labels_no_edges(self):
-        rep = LabelRepresentation(4, 2, [[], [], [], []])
+        rep = build_labels(4, 2, [[], [], [], []])
         assert induced_graph(rep).edges == ()
 
     def test_common_label_is_complete(self):
-        rep = LabelRepresentation(5, 1, [[0]] * 5)
+        rep = build_labels(5, 1, [[0]] * 5)
         assert induced_graph(rep) == complete_graph(5)
 
     @given(label_reps())
     @settings(max_examples=60)
     def test_edge_iff_sets_intersect(self, rep):
         g = induced_graph(rep)
+        sets = label_sets(rep)
         for u in range(rep.n):
             for v in range(u + 1, rep.n):
-                assert g.has_edge(u, v) == bool(rep.label_sets[u] & rep.label_sets[v])
+                assert g.has_edge(u, v) == bool(sets[u] & sets[v])
         pairs = [(u, v) for u in range(rep.n) for v in range(u + 1, rep.n)
-                 if rep.label_sets[u] & rep.label_sets[v]]
+                 if sets[u] & sets[v]]
         by_definition = build_graph(rep.n, pairs)
         assert g == by_definition
         assert hash(g) == hash(by_definition)
@@ -228,11 +247,11 @@ class TestGraphCodec:
 class TestLabelCodec:
     def test_decode_example(self):
         rep = decode_labels("3 2\n0: 0\n1: 0 1\n2: 1\n")
-        assert rep.label_members == (frozenset({0, 1}), frozenset({1, 2}))
+        assert rep.masks == (0b011, 0b110)
 
     def test_empty_set_line(self):
         rep = decode_labels("1 1\n0:\n")
-        assert rep.label_sets == (frozenset(),)
+        assert rep.masks == (0,)
 
     def test_label_out_of_range(self):
         with pytest.raises(FormatError, match="label 1 out of range"):

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from rigclique import (CYCLE_FOUND, CYCLE_NONE, CYCLE_UNKNOWN, LabeledCycle,
-                       LabelRepresentation, SearchBudgetExceeded, build_graph,
+                       SearchBudgetExceeded, build_graph, build_labels,
                        check_labeled_cycle, degeneracy_order,
                        enumerate_maximal_cliques, exact_intersection_number,
                        exact_max_clique, find_distinct_label_cycle, induced_graph,
@@ -165,26 +165,26 @@ class TestIntersectionNumber:
 
 class TestDistinctLabelCycle:
     def test_triangle_of_three_labels(self):
-        rep = LabelRepresentation(3, 3, [[0, 2], [0, 1], [1, 2]])
+        rep = build_labels(3, 3, [[0, 2], [0, 1], [1, 2]])
         status, cycle = find_distinct_label_cycle(rep)
         assert status == CYCLE_FOUND
         assert cycle == LabeledCycle((0, 1, 2), (0, 1, 2))
         check_labeled_cycle(rep, cycle)
 
     def test_single_label_star_is_acyclic(self):
-        rep = LabelRepresentation(3, 1, [[0], [0], [0]])
+        rep = build_labels(3, 1, [[0], [0], [0]])
         assert find_distinct_label_cycle(rep) == (CYCLE_NONE, None)
 
     def test_two_shared_labels_is_only_a_4_cycle(self):
-        rep = LabelRepresentation(2, 2, [[0, 1], [0, 1]])
+        rep = build_labels(2, 2, [[0, 1], [0, 1]])
         assert find_distinct_label_cycle(rep) == (CYCLE_NONE, None)
 
     def test_budget_zero_on_cyclic_core_is_unknown(self):
-        rep = LabelRepresentation(3, 3, [[0, 2], [0, 1], [1, 2]])
+        rep = build_labels(3, 3, [[0, 2], [0, 1], [1, 2]])
         assert find_distinct_label_cycle(rep, step_budget=0) == (CYCLE_UNKNOWN, None)
 
     def test_budget_zero_on_acyclic_instance_is_still_none(self):
-        rep = LabelRepresentation(3, 1, [[0], [0], [0]])
+        rep = build_labels(3, 1, [[0], [0], [0]])
         assert find_distinct_label_cycle(rep, step_budget=0) == (CYCLE_NONE, None)
 
     def test_matches_exhaustive_enumeration(self):
@@ -205,16 +205,19 @@ class TestDistinctLabelCycle:
 
 class TestCheckLabeledCycle:
     def test_rejects_short(self):
-        rep = LabelRepresentation(2, 2, [[0, 1], [0, 1]])
+        rep = build_labels(2, 2, [[0, 1], [0, 1]])
         with pytest.raises(ValueError, match="at least 3"):
             check_labeled_cycle(rep, LabeledCycle((0, 1), (0, 1)))
 
     def test_rejects_repeated_label(self):
-        rep = LabelRepresentation(3, 3, [[0, 1, 2]] * 3)
+        rep = build_labels(3, 3, [[0, 1, 2]] * 3)
         with pytest.raises(ValueError, match="not distinct"):
             check_labeled_cycle(rep, LabeledCycle((0, 1, 2), (0, 0, 1)))
 
     def test_rejects_label_that_does_not_join(self):
-        rep = LabelRepresentation(3, 3, [[0, 2], [0, 1], [1, 2]])
+        rep = build_labels(3, 3, [[0, 2], [0, 1], [1, 2]])
         with pytest.raises(ValueError, match="does not join"):
             check_labeled_cycle(rep, LabeledCycle((0, 1, 2), (2, 1, 0)))
+        for label in (-1, 3):  # outside 0..m-1: -1 must not read label 2
+            with pytest.raises(ValueError, match="does not join"):
+                check_labeled_cycle(rep, LabeledCycle((0, 1, 2), (0, 1, label)))

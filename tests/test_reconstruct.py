@@ -3,10 +3,10 @@ from itertools import combinations
 
 import pytest
 
-from rigclique import (LabelRepresentation, build_graph, induced_graph,
+from rigclique import (LabelRepresentation, build_graph, build_labels, induced_graph,
                        reconstruct_labels, reps_equivalent)
 
-from helpers import random_label_rep
+from helpers import greedy_pair_cover, label_members, label_sets, random_label_rep
 
 
 class TestReconstructExamples:
@@ -14,7 +14,7 @@ class TestReconstructExamples:
         g = build_graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
         result = reconstruct_labels(g, 2, 0.5)
         assert result.valid
-        assert result.rep.label_members == (frozenset({0, 1, 2}), frozenset({3, 4}))
+        assert label_members(result.rep) == (frozenset({0, 1, 2}), frozenset({3, 4}))
         assert result.covered_edges == 4
         assert result.candidate_count == 2
 
@@ -22,13 +22,13 @@ class TestReconstructExamples:
         g = build_graph(4, [])
         result = reconstruct_labels(g, 3, 0.5)
         assert result.valid
-        assert result.rep.label_members == (frozenset(), frozenset(), frozenset())
+        assert result.rep.masks == (0, 0, 0)
         assert result.covered_edges == 0
 
     def test_null_graph(self):
         result = reconstruct_labels(build_graph(0, []), 2, 0.5)
         assert result.valid
-        assert result.rep == LabelRepresentation(0, 2, [])
+        assert result.rep == LabelRepresentation(0, 2, (0, 0))
 
     def test_triangle_prefers_single_label(self):
         # one big clique beats a pairwise cover even when three labels are
@@ -37,8 +37,8 @@ class TestReconstructExamples:
         g = build_graph(3, [(0, 1), (0, 2), (1, 2)])
         result = reconstruct_labels(g, 3, 0.5)
         assert result.valid
-        assert result.rep.label_members == (frozenset({0, 1, 2}), frozenset(), frozenset())
-        pairwise = LabelRepresentation(3, 3, [[0, 1], [0, 2], [1, 2]])
+        assert label_members(result.rep) == (frozenset({0, 1, 2}), frozenset(), frozenset())
+        pairwise = build_labels(3, 3, [[0, 1], [0, 2], [1, 2]])
         assert induced_graph(pairwise) == g
         assert not reps_equivalent(result.rep, pairwise)
 
@@ -65,7 +65,7 @@ class TestReconstructExamples:
         g = build_graph(100, list(combinations(range(30), 2)))
         result = reconstruct_labels(g, 1, 0.9)
         assert result.valid
-        assert result.rep.label_members[0] == frozenset(range(30))
+        assert label_members(result.rep)[0] == frozenset(range(30))
         assert result.candidate_count == 1
 
 
@@ -104,6 +104,24 @@ class TestReconstructSoundness:
             assert result.covered_edges == len(g.edges)
         assert successes > 50
 
+    def test_cover_matches_pair_set_reference(self):
+        # small n keeps the size window open, so every maximal clique is a
+        # candidate and the cover must choose exactly what the reference does
+        rng = random.Random(15)
+        for _ in range(120):
+            n = rng.randint(0, 11)
+            m = rng.randint(1, 5)
+            p = rng.choice([0.2, 0.4, 0.6])
+            g = induced_graph(random_label_rep(rng, n, m, p))
+            chosen, left = greedy_pair_cover(g, m)
+            result = reconstruct_labels(g, m, p)
+            assert result.covered_edges == len(g.edges) - left
+            if left:
+                assert result.rep is None
+            else:
+                expect = [frozenset(c) for c in chosen] + [frozenset()] * (m - len(chosen))
+                assert list(label_members(result.rep)) == expect
+
     def test_label_count_never_exceeds_m(self):
         rng = random.Random(12)
         for _ in range(60):
@@ -113,38 +131,38 @@ class TestReconstructSoundness:
             result = reconstruct_labels(induced_graph(truth), m, 0.4)
             if result.rep is not None:
                 assert result.rep.m == m
-                used = sum(1 for s in result.rep.label_members if s)
+                used = sum(1 for mask in result.rep.masks if mask)
                 assert used <= m
 
 
 class TestRepsEquivalent:
     def test_identical(self):
-        a = LabelRepresentation(3, 2, [[0], [0, 1], [1]])
+        a = build_labels(3, 2, [[0], [0, 1], [1]])
         assert reps_equivalent(a, a)
 
     def test_permuted_labels(self):
-        a = LabelRepresentation(4, 2, [[0], [0], [1], [1]])
-        b = LabelRepresentation(4, 2, [[1], [1], [0], [0]])
+        a = build_labels(4, 2, [[0], [0], [1], [1]])
+        b = build_labels(4, 2, [[1], [1], [0], [0]])
         assert reps_equivalent(a, b)
 
     def test_extra_singleton_label_ignored(self):
-        a = LabelRepresentation(3, 2, [[0], [0], []])
-        b = LabelRepresentation(3, 3, [[0], [0], [2]])
+        a = build_labels(3, 2, [[0], [0], []])
+        b = build_labels(3, 3, [[0], [0], [2]])
         assert reps_equivalent(a, b)
 
     def test_differing_effective_labels(self):
-        a = LabelRepresentation(3, 1, [[0], [0], [0]])
-        b = LabelRepresentation(3, 1, [[0], [0], []])
+        a = build_labels(3, 1, [[0], [0], [0]])
+        b = build_labels(3, 1, [[0], [0], []])
         assert not reps_equivalent(a, b)
 
     def test_multiset_multiplicity_matters(self):
-        a = LabelRepresentation(2, 2, [[0, 1], [0, 1]])
-        b = LabelRepresentation(2, 2, [[0], [0]])
+        a = build_labels(2, 2, [[0, 1], [0, 1]])
+        b = build_labels(2, 2, [[0], [0]])
         assert not reps_equivalent(a, b)
 
     def test_vertex_count_mismatch(self):
-        a = LabelRepresentation(3, 1, [[0], [0], []])
-        b = LabelRepresentation(2, 1, [[0], [0]])
+        a = build_labels(3, 1, [[0], [0], []])
+        b = build_labels(2, 1, [[0], [0]])
         with pytest.raises(ValueError, match="vertex counts differ"):
             reps_equivalent(a, b)
 
@@ -158,13 +176,12 @@ class TestRepsEquivalent:
 
             perm = list(range(m))
             rng.shuffle(perm)
-            b = LabelRepresentation(n, m, [sorted(perm[i] for i in s)
-                                           for s in a.label_sets])
+            b = build_labels(n, m, [sorted(perm[i] for i in s) for s in label_sets(a)])
             # padded with an unused label plus one singleton choice
-            sets_c = [sorted(b.label_sets[v]) for v in range(n)]
+            sets_c = [sorted(s) for s in label_sets(b)]
             if n > 0:
                 sets_c[rng.randrange(n)].append(m)
-            c = LabelRepresentation(n, m + 2, sets_c)
+            c = build_labels(n, m + 2, sets_c)
 
             assert reps_equivalent(a, b) and reps_equivalent(b, a)
             assert reps_equivalent(b, c)

@@ -4,11 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from rigclique import (LabelRepresentation, RigParams, induced_graph, is_clique,
+from rigclique import (RigParams, build_labels, induced_graph, is_clique,
                        max_clique_from_labels, resolve_params,
                        sample_label_representation, sample_membership, trial_rng)
 
-from helpers import random_label_rep
+from helpers import label_members, label_sets, random_label_rep
 
 
 class TestResolveParams:
@@ -82,11 +82,11 @@ class TestSampling:
 
     def test_p_zero_empty(self):
         rep = sample_label_representation(resolve_params(n=5, m=4, p=0.0), seed=1)
-        assert all(not s for s in rep.label_sets)
+        assert rep.masks == (0,) * 4
 
     def test_p_one_full(self):
         rep = sample_label_representation(resolve_params(n=5, m=4, p=1.0), seed=1)
-        assert all(s == frozenset(range(4)) for s in rep.label_sets)
+        assert rep.masks == (0b11111,) * 4
 
     def test_draw_order_is_vertex_major(self):
         # the documented contract: one uniform per (v, i), vertex-major,
@@ -100,10 +100,16 @@ class TestSampling:
         assert np.array_equal(matrix, expect)
 
     def test_rep_matches_matrix(self):
-        matrix = sample_membership(self.PARAMS, seed=13, trial=0)
-        rep = sample_label_representation(self.PARAMS, seed=13, trial=0)
-        for v in range(self.PARAMS.n):
-            assert rep.label_sets[v] == frozenset(np.flatnonzero(matrix[v]))
+        # n = 70 spans more than one 64-bit word and a partial last byte
+        for n in (0, 1, 20, 70):
+            params = resolve_params(n=n, m=6, p=0.3)
+            matrix = sample_membership(params, seed=13, trial=0)
+            rep = sample_label_representation(params, seed=13, trial=0)
+            assert (rep.n, rep.m, len(rep.masks)) == (n, 6, 6)
+            sets = label_sets(rep)
+            for v in range(n):
+                assert sets[v] == frozenset(np.flatnonzero(matrix[v]).tolist())
+            assert all(mask >> n == 0 for mask in rep.masks)
 
     def test_label_size_matches_binomial_tail(self):
         # |L_0| ~ Binomial(n, p): empirical CDF at k vs the exact tail
@@ -112,7 +118,7 @@ class TestSampling:
         trials = 3000
         hits = sum(
             1 for t in range(trials)
-            if len(sample_label_representation(params, seed=202, trial=t).label_members[0]) <= k)
+            if sample_label_representation(params, seed=202, trial=t).masks[0].bit_count() <= k)
         exact = sum(math.comb(n, j) * p**j * (1 - p) ** (n - j) for j in range(k + 1))
         assert abs(hits / trials - exact) < 0.03
 
@@ -122,25 +128,25 @@ class TestSampling:
         trials = 3000
         hits = sum(
             1 for t in range(trials)
-            if len(sample_label_representation(params, seed=303, trial=t).label_sets[0]) <= k)
+            if len(label_sets(sample_label_representation(params, seed=303, trial=t))[0]) <= k)
         exact = sum(math.comb(m, j) * p**j * (1 - p) ** (m - j) for j in range(k + 1))
         assert abs(hits / trials - exact) < 0.03
 
 
 class TestMaxCliqueFromLabels:
     def test_largest_label_wins(self):
-        rep = LabelRepresentation(4, 2, [[0], [0, 1], [1], [1]])
-        assert rep.label_members == (frozenset({0, 1}), frozenset({1, 2, 3}))
+        rep = build_labels(4, 2, [[0], [0, 1], [1], [1]])
+        assert label_members(rep) == (frozenset({0, 1}), frozenset({1, 2, 3}))
         assert max_clique_from_labels(rep) == (1, 2, 3)
 
     def test_tie_goes_to_smallest_label(self):
-        rep = LabelRepresentation(4, 2, [[0], [0], [1], [1]])
+        rep = build_labels(4, 2, [[0], [0], [1], [1]])
         assert max_clique_from_labels(rep) == (0, 1)
 
     def test_all_empty_gives_empty(self):
-        rep = LabelRepresentation(3, 2, [[], [], []])
+        rep = build_labels(3, 2, [[], [], []])
         assert max_clique_from_labels(rep) == ()
-        assert max_clique_from_labels(LabelRepresentation(3, 0, [[], [], []])) == ()
+        assert max_clique_from_labels(build_labels(3, 0, [[], [], []])) == ()
 
     def test_output_is_a_clique(self):
         rng = random.Random(67)
