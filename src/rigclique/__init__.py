@@ -6,10 +6,9 @@ from .graph import (Graph, GraphError, LabelRepresentation, build_graph,
 from .io import (FormatError, decode_graph, decode_labels, encode_graph,
                  encode_labels)
 from .oracle import (CYCLE_FOUND, CYCLE_NONE, CYCLE_UNKNOWN, LabeledCycle,
-                     SearchBudgetExceeded, check_labeled_cycle, degeneracy_order,
-                     enumerate_maximal_cliques, exact_intersection_number,
-                     exact_max_clique, find_distinct_label_cycle,
-                     iter_maximal_cliques)
+                     SearchBudgetExceeded, check_labeled_cycle,
+                     enumerate_maximal_cliques, exact_max_clique,
+                     find_distinct_label_cycle, iter_maximal_cliques)
 from .quotient import (Partition, QuotientCapExceeded, QuotientGraph,
                        closed_neighborhood_partition, find_max_clique,
                        max_weight_quotient_clique, quotient_graph)
@@ -24,9 +23,8 @@ __all__ = [
     "induced_graph", "is_chordal", "is_clique",
     "FormatError", "decode_graph", "decode_labels", "encode_graph", "encode_labels",
     "CYCLE_FOUND", "CYCLE_NONE", "CYCLE_UNKNOWN", "LabeledCycle",
-    "SearchBudgetExceeded", "check_labeled_cycle", "degeneracy_order",
-    "enumerate_maximal_cliques", "exact_intersection_number", "exact_max_clique",
-    "find_distinct_label_cycle", "iter_maximal_cliques",
+    "SearchBudgetExceeded", "check_labeled_cycle", "enumerate_maximal_cliques",
+    "exact_max_clique", "find_distinct_label_cycle", "iter_maximal_cliques",
     "Partition", "QuotientCapExceeded", "QuotientGraph",
     "closed_neighborhood_partition", "find_max_clique", "max_weight_quotient_clique",
     "quotient_graph",

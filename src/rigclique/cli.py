@@ -126,7 +126,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     params = _params(args, args.n)
     budgets = {}
     if args.budget is not None:
-        budgets = {"oracle_budget": args.budget, "cycle_budget": args.budget}
+        budgets = {"node_budget": args.budget, "cycle_budget": args.budget}
     cfg = ExperimentConfig(kind=args.kind, params=params, trials=args.trials,
                            seed=args.seed, out=Path(args.csv) if args.csv else None,
                            **budgets)

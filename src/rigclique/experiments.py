@@ -56,7 +56,7 @@ class ExperimentConfig:
     trials: int
     seed: int
     out: Path | None = None
-    oracle_budget: int = DEFAULT_NODE_BUDGET  # quotient-search nodes per single_label trial
+    node_budget: int = DEFAULT_NODE_BUDGET  # quotient-search nodes per single_label trial
     cycle_budget: int = DEFAULT_CYCLE_STEPS
 
 
@@ -97,7 +97,7 @@ def _single_label_trial(cfg: ExperimentConfig, trial: int) -> dict[str, object]:
     rep = sample_label_representation(cfg.params, cfg.seed, trial)
     g = induced_graph(rep)
     try:
-        clique = find_max_clique(g, node_budget=cfg.oracle_budget)
+        clique = find_max_clique(g, node_budget=cfg.node_budget)
     except (SearchBudgetExceeded, QuotientCapExceeded):
         return {"trial": trial, "status": "error"}
     omega = len(clique)

@@ -1,16 +1,14 @@
 """Exact reference algorithms, independent of the quotient solver.
 
-Maximum clique here is a branch-and-bound search over vertex bitmasks; the
-quotient pipeline never calls it, so the two can be checked against each
-other. Budgets make every search refuse loudly instead of running away.
+Maximum clique here is a branch-and-bound search over the vertex bitmasks
+of the whole graph. It and the quotient pipeline never call each other, so
+the two can be checked against each other. Budgets make every search refuse
+loudly instead of running away.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 from typing import Iterator
 
 from .graph import Graph, LabelRepresentation, _members
@@ -18,8 +16,6 @@ from .graph import Graph, LabelRepresentation, _members
 DEFAULT_NODE_BUDGET = 2_000_000
 DEFAULT_MAX_CLIQUES = 500_000
 DEFAULT_CYCLE_STEPS = 1_000_000
-
-INTERSECTION_NUMBER_CAP = 8
 
 CYCLE_FOUND = "found"
 CYCLE_NONE = "none"
@@ -30,35 +26,17 @@ class SearchBudgetExceeded(RuntimeError):
     """A bounded search ran out of its node or emission budget."""
 
 
-def degeneracy_order(g: Graph) -> tuple[int, ...]:
-    """Vertices in removal order: repeatedly delete a minimum-degree vertex,
-    ties broken toward the smallest id."""
-    deg = [g.degree(v) for v in range(g.n)]
-    heap: list[tuple[int, int]] = [(d, v) for v, d in enumerate(deg)]
-    heapq.heapify(heap)
-    alive = (1 << g.n) - 1
-    out: list[int] = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if not (alive >> v) & 1 or d != deg[v]:
-            continue  # stale entry
-        alive ^= 1 << v
-        out.append(v)
-        for w in _members(g.bits[v] & alive):
-            deg[w] -= 1
-            heapq.heappush(heap, (deg[w], w))
-    return tuple(out)
-
-
 def exact_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, ...]:
     """Lexicographically smallest maximum clique, as a sorted vertex tuple.
 
-    Phase one finds the clique number by branch and bound: roots follow a
-    degeneracy order, candidates are pruned with a greedy-coloring upper
-    bound. Phase two rebuilds the lexicographically first clique of that size
-    by ascending-id extension under the same bound. Both phases run on
-    explicit stacks, so depth is not limited by Python's recursion limit,
-    and share one node budget; exceeding it raises SearchBudgetExceeded.
+    Phase one finds the clique number by one branch and bound from the whole
+    vertex set (Tomita and Seki's MCQ): candidates are greedily colored in
+    id order and tried from the highest color down, until size plus color
+    cannot beat the best. Phase two rebuilds the lexicographically first
+    clique of that size by ascending-id extension under the same bound.
+    Both phases run on explicit stacks, so depth is not limited by Python's
+    recursion limit, and share one node budget, charged once per node;
+    exceeding it raises SearchBudgetExceeded.
     """
     if g.n == 0:
         return ()
@@ -89,66 +67,37 @@ def exact_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[
                 rest ^= low
         return out
 
+    # Phase one. A frame is [clique size so far, candidates left, their
+    # coloring, next index from the end]; a node is charged when its frame
+    # is made. The root frame holds every vertex, colored in id order.
     best = 0
-
-    def expand(pmask: int) -> None:
-        # Search the cliques of one root (size 1) extended by pmask. A frame
-        # is [clique size so far, candidates left, their coloring, next index
-        # from the end]; a node is charged when its frame is made.
-        nonlocal best
-        charge()
-        colored = color_sorted(pmask)
-        stack = [[1, pmask, colored, len(colored)]]
-        while stack:
-            frame = stack[-1]
-            rsize, pmask, colored, i = frame
-            i -= 1
-            if i < 0 or rsize + colored[i][1] <= best:
-                stack.pop()  # everything earlier has a color no higher
-                continue
-            v = colored[i][0]
-            frame[1] = pmask & ~(1 << v)
-            frame[3] = i
-            sub = pmask & bits[v]
-            if sub:
-                charge()
-                colored = color_sorted(sub)
-                stack.append([rsize + 1, sub, colored, len(colored)])
-            elif rsize + 1 > best:
-                best = rsize + 1
-
-    order = degeneracy_order(g)
-    later = [0] * g.n
-    suffix = 0
-    for v in reversed(order):
-        later[v] = suffix
-        suffix |= 1 << v
-    for v in order:
-        p = bits[v] & later[v]
-        if p and 1 + p.bit_count() > best:
-            expand(p)
-        elif best < 1:
-            best = 1
-
-    def color_count(pmask: int) -> int:
-        count = 0
-        rest = pmask
-        while rest:
-            count += 1
-            avail = rest
-            while avail:
-                low = avail & -avail
-                v = low.bit_length() - 1
-                avail &= ~(bits[v] | low)
-                rest ^= low
-        return count
+    full = (1 << g.n) - 1
+    charge()
+    stack = [[0, full, color_sorted(full), g.n]]
+    while stack:
+        frame = stack[-1]
+        rsize, pmask, colored, i = frame
+        i -= 1
+        if i < 0 or rsize + colored[i][1] <= best:
+            stack.pop()  # everything earlier has a color no higher
+            continue
+        v = colored[i][0]
+        frame[1] = pmask & ~(1 << v)
+        frame[3] = i
+        sub = pmask & bits[v]
+        if sub:
+            charge()
+            colored = color_sorted(sub)
+            stack.append([rsize + 1, sub, colored, len(colored)])
+        elif rsize + 1 > best:
+            best = rsize + 1
 
     # Phase two: stack[d] holds the candidates not yet tried after the d
     # vertices of prefix. Taking v charges the child node, which is dropped
     # at once unless enough candidates and colors remain to reach best.
     charge()  # the root, which can always reach best, so is never popped
     prefix: list[int] = []
-    stack = [(1 << g.n) - 1]
+    stack = [full]
     while True:
         need = best - len(prefix)
         pmask = stack[-1]
@@ -164,7 +113,7 @@ def exact_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[
         if need == 1:
             return tuple(prefix)
         sub = stack[-1] & bits[v]
-        if sub.bit_count() >= need - 1 and color_count(sub) >= need - 1:
+        if sub.bit_count() >= need - 1 and color_sorted(sub)[-1][1] >= need - 1:
             stack.append(sub)
         else:
             prefix.pop()
@@ -224,41 +173,6 @@ def enumerate_maximal_cliques(g: Graph,
                 f"maximal-clique enumeration exceeded budget {max_cliques}")
         out.append(clique)
     return out
-
-
-def exact_intersection_number(g: Graph) -> int:
-    """Minimum number of cliques covering every edge of g.
-
-    Brute force over covers by maximal cliques (any cover clique extends to a
-    maximal one), memoized on the set of still-uncovered edges. Hard cap
-    n <= 8: refuse larger inputs rather than run an exponential search.
-    """
-    if g.n > INTERSECTION_NUMBER_CAP:
-        raise ValueError(
-            f"intersection number is only computed for n <= {INTERSECTION_NUMBER_CAP}, got n={g.n}")
-    if not g.edges:
-        return 0
-    edge_bit = {e: k for k, e in enumerate(g.edges)}
-    masks: list[int] = []
-    for clique in iter_maximal_cliques(g):
-        mask = 0
-        for pair in combinations(clique, 2):
-            mask |= 1 << edge_bit[pair]
-        if mask:
-            masks.append(mask)
-    by_edge: list[list[int]] = [[] for _ in g.edges]
-    for mask in masks:
-        for k in _members(mask):
-            by_edge[k].append(mask)
-
-    @lru_cache(maxsize=None)
-    def cover(uncovered: int) -> int:
-        if not uncovered:
-            return 0
-        k = (uncovered & -uncovered).bit_length() - 1
-        return 1 + min(cover(uncovered & ~mask) for mask in by_edge[k])
-
-    return cover((1 << len(g.edges)) - 1)
 
 
 @dataclass(frozen=True)

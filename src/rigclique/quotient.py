@@ -29,10 +29,8 @@ class QuotientCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class Partition:
-    """Vertex classes, each sorted, ordered by smallest member; class_of maps
-    every vertex to its class index."""
+    """Vertex classes, each sorted, ordered by smallest member."""
     classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...]
 
 
 def closed_neighborhood_partition(g: Graph) -> Partition:
@@ -51,12 +49,7 @@ def closed_neighborhood_partition(g: Graph) -> Partition:
         top = max(row.bit_length() - 1, v)
         key = ((row | (1 << v)) ^ (1 << top), top) if top > v else (row, v)
         groups.setdefault(key, []).append(v)
-    classes = tuple(tuple(vs) for vs in groups.values())
-    class_of = [0] * g.n
-    for k, vs in enumerate(classes):
-        for v in vs:
-            class_of[v] = k
-    return Partition(classes, tuple(class_of))
+    return Partition(tuple(tuple(vs) for vs in groups.values()))
 
 
 @dataclass(frozen=True)

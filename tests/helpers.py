@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import random
+from functools import lru_cache
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -117,6 +118,26 @@ def all_maximal_cliques(g: Graph) -> set[tuple[int, ...]]:
     return out
 
 
+def exact_intersection_number(g: Graph) -> int:
+    """Minimum number of cliques covering every edge of g, over covers by
+    maximal cliques (any cover clique extends to a maximal one), memoized
+    on the set of still-uncovered edges. Only sensible for n <= ~8."""
+    if not g.edges:
+        return 0
+    edge_bit = {e: k for k, e in enumerate(g.edges)}
+    masks = [sum(1 << edge_bit[pair] for pair in combinations(clique, 2))
+             for clique in all_maximal_cliques(g) if len(clique) > 1]
+
+    @lru_cache(maxsize=None)
+    def cover(uncovered: int) -> int:
+        if not uncovered:
+            return 0
+        low = uncovered & -uncovered
+        return 1 + min(cover(uncovered & ~mask) for mask in masks if mask & low)
+
+    return cover((1 << len(g.edges)) - 1)
+
+
 def brute_chordal(g: Graph) -> bool:
     """Chordality by repeated simplicial-vertex deletion."""
     alive = set(range(g.n))
@@ -165,21 +186,28 @@ def pairwise_partition(g: Graph) -> Partition:
     equal closed neighborhood."""
     unassigned = set(range(g.n))
     classes: list[tuple[int, ...]] = []
-    class_of = [0] * g.n
     while unassigned:
         v = min(unassigned)
         closed = closed_neighborhood(g, v)
         cls = [u for u in sorted(unassigned) if closed_neighborhood(g, u) == closed]
-        for u in cls:
-            class_of[u] = len(classes)
-            unassigned.discard(u)
+        unassigned.difference_update(cls)
         classes.append(tuple(cls))
-    return Partition(tuple(classes), tuple(class_of))
+    return Partition(tuple(classes))
+
+
+def class_of(partition: Partition) -> tuple[int, ...]:
+    """The index of each vertex's class, for a partition of 0..n-1."""
+    out = [0] * sum(len(cls) for cls in partition.classes)
+    for k, cls in enumerate(partition.classes):
+        for v in cls:
+            out[v] = k
+    return tuple(out)
 
 
 def quotient_rows_loop(g: Graph, partition: Partition) -> tuple[int, ...]:
     """Quotient rows one set bit at a time: bit class_of[w] for each
     representative w adjacent to the class's own representative."""
+    index = class_of(partition)
     reps = 0
     for cls in partition.classes:
         reps |= 1 << cls[0]
@@ -190,7 +218,7 @@ def quotient_rows_loop(g: Graph, partition: Partition) -> tuple[int, ...]:
         while rest:
             low = rest & -rest
             rest ^= low
-            row |= 1 << partition.class_of[low.bit_length() - 1]
+            row |= 1 << index[low.bit_length() - 1]
         rows.append(row)
     return tuple(rows)
 

@@ -15,12 +15,12 @@ import networkx as nx
 import pytest
 
 from rigclique import (ExperimentConfig, PRESETS, build_graph,
-                       closed_neighborhood_partition, exact_intersection_number,
-                       exact_max_clique, find_max_clique, induced_graph,
-                       reconstruct_labels, reps_equivalent, run_experiment,
+                       closed_neighborhood_partition, exact_max_clique, find_max_clique,
+                       induced_graph, reconstruct_labels, reps_equivalent, run_experiment,
                        sample_label_representation)
 
-from helpers import checkout_env, closed_neighborhood, random_graph, subset_max_clique
+from helpers import (checkout_env, class_of, closed_neighborhood,
+                     exact_intersection_number, random_graph, subset_max_clique)
 
 
 def test_criterion_1_solver_matches_oracle(acceptance):
@@ -51,6 +51,7 @@ def test_criterion_2_partition_properties(acceptance):
     for _ in range(200):
         g = random_graph(rng, rng.randint(1, 50), rng.uniform(0.05, 0.95))
         part = closed_neighborhood_partition(g)
+        index = class_of(part)
 
         covered = sorted(v for cls in part.classes for v in cls)
         grouped = {frozenset(cls) for cls in part.classes}
@@ -59,7 +60,7 @@ def test_criterion_2_partition_properties(acceptance):
             by_neighborhood.setdefault(closed_neighborhood(g, v), []).append(v)
         matches_relation = (covered == list(range(g.n))
                            and grouped == {frozenset(c) for c in by_neighborhood.values()}
-                           and all(part.class_of[v] == i
+                           and all(index[v] == i
                                    for i, cls in enumerate(part.classes) for v in cls))
 
         classes_cliques = all(g.has_edge(u, v)

@@ -84,7 +84,7 @@ class TestSingleLabelKind:
 
     def test_oracle_refusal_becomes_error_row(self):
         cfg = ExperimentConfig("single_label", PRESETS["SL-100"], trials=2,
-                               seed=1, oracle_budget=1)
+                               seed=1, node_budget=1)
         stats = run_experiment(cfg)
         assert [r["status"] for r in stats.rows] == ["error", "error"]
         assert stats.to_csv().splitlines()[1] == "0,error,,,,,"

@@ -5,12 +5,11 @@ import pytest
 
 from rigclique import (CYCLE_FOUND, CYCLE_NONE, CYCLE_UNKNOWN, LabeledCycle,
                        SearchBudgetExceeded, build_graph, build_labels,
-                       check_labeled_cycle, degeneracy_order,
-                       enumerate_maximal_cliques, exact_intersection_number,
+                       check_labeled_cycle, enumerate_maximal_cliques,
                        exact_max_clique, find_distinct_label_cycle, induced_graph,
                        resolve_params, sample_label_representation)
 
-from helpers import (all_maximal_cliques, complete_graph,
+from helpers import (all_maximal_cliques, complete_graph, exact_intersection_number,
                      exhaustive_labeled_cycle_exists, mask_is_clique,
                      random_graph, random_label_rep, subset_max_clique,
                      two_triangles)
@@ -75,8 +74,9 @@ class TestExactMaxClique:
         assert exact_max_clique(g) == exact_max_clique(g)
 
     @pytest.mark.parametrize("n, m, p, omega, nodes", [
-        (400, 10, 0.2, 91, 940),  # ladder rung L1
-        (400, 6, 0.3, 126, 672),  # a single-label-dense trial; phase two's colour check prunes
+        (400, 10, 0.2, 91, 355),  # ladder rung L1
+        (400, 6, 0.3, 126, 257),  # a single-label-dense trial; phase two's colour check prunes
+        (2000, 10, 0.2, 435, 873),  # ladder rung L2
     ])
     def test_exact_node_count(self, n, m, p, omega, nodes):
         g = induced_graph(sample_label_representation(
@@ -84,15 +84,6 @@ class TestExactMaxClique:
         assert len(exact_max_clique(g, node_budget=nodes)) == omega
         with pytest.raises(SearchBudgetExceeded, match=f"node budget {nodes - 1}"):
             exact_max_clique(g, node_budget=nodes - 1)
-
-
-class TestDegeneracyOrder:
-    def test_is_permutation_and_greedy(self):
-        g = two_triangles()
-        order = degeneracy_order(g)
-        assert sorted(order) == list(range(4))
-        # 0 and 3 have degree 2, tie broken to 0
-        assert order[0] == 0
 
 
 class TestMaximalCliqueEnumeration:
@@ -134,10 +125,6 @@ class TestIntersectionNumber:
             build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])) == 4
         assert exact_intersection_number(two_triangles()) == 2
         assert exact_intersection_number(build_graph(5, [])) == 0
-
-    def test_cap_refusal(self):
-        with pytest.raises(ValueError, match="n <= 8"):
-            exact_intersection_number(build_graph(9, []))
 
     def test_triangle_free_equals_edge_count(self):
         star = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])

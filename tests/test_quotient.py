@@ -11,21 +11,22 @@ from hypothesis import strategies as st
 
 from rigclique import (Graph, Partition, QuotientCapExceeded, QuotientGraph,
                        SearchBudgetExceeded, build_graph, closed_neighborhood_partition,
-                       exact_intersection_number, exact_max_clique, find_max_clique,
-                       induced_graph, is_clique, max_weight_quotient_clique,
-                       quotient_graph, resolve_params, sample_label_representation)
+                       exact_max_clique, find_max_clique, induced_graph, is_clique,
+                       max_weight_quotient_clique, quotient_graph, resolve_params,
+                       sample_label_representation)
 from rigclique.quotient import _renumbered_rows
 
-from helpers import (check_quotient, closed_neighborhood, complete_graph,
-                     pairwise_partition, quotient_rows_loop, random_graph,
-                     random_quotient, subset_max_weight_clique, two_triangles)
+from helpers import (check_quotient, class_of, closed_neighborhood, complete_graph,
+                     exact_intersection_number, pairwise_partition, quotient_rows_loop,
+                     random_graph, random_quotient, subset_max_weight_clique,
+                     two_triangles)
 
 
 class TestPartition:
     def test_two_triangles(self):
         part = closed_neighborhood_partition(two_triangles())
         assert part.classes == ((0,), (1, 2), (3,))
-        assert part.class_of == (0, 1, 1, 2)
+        assert class_of(part) == (0, 1, 1, 2)
 
     def test_complete_graph_single_class(self):
         part = closed_neighborhood_partition(complete_graph(4))
@@ -139,7 +140,7 @@ class TestQuotientGraph:
 
     def test_verify_rejects_corrupted_partition(self):
         g = build_graph(3, [(0, 1)])
-        bogus = Partition(classes=((0, 2), (1,)), class_of=(0, 1, 0))
+        bogus = Partition(classes=((0, 2), (1,)))
         with pytest.raises(AssertionError, match="not a clique"):
             check_quotient(g, bogus, quotient_graph(g, bogus))
 
@@ -247,7 +248,8 @@ class TestFindMaxClique:
             assert is_clique(g, clique)
             assert len(clique) == len(exact_max_clique(g))
             part = closed_neighborhood_partition(g)
-            touched = {part.class_of[v] for v in clique}
+            index = class_of(part)
+            touched = {index[v] for v in clique}
             rebuilt = sorted(v for c in touched for v in part.classes[c])
             assert rebuilt == list(clique)
 
