@@ -8,10 +8,9 @@ from .io import (FormatError, decode_graph, decode_labels, encode_graph,
 from .oracle import (CYCLE_FOUND, CYCLE_NONE, CYCLE_UNKNOWN, LabeledCycle,
                      SearchBudgetExceeded, check_labeled_cycle,
                      enumerate_maximal_cliques, exact_max_clique,
-                     find_distinct_label_cycle, iter_maximal_cliques)
-from .quotient import (Partition, QuotientCapExceeded, QuotientGraph,
-                       closed_neighborhood_partition, find_max_clique,
-                       max_weight_quotient_clique, quotient_graph)
+                     find_distinct_label_cycle)
+from .quotient import (Partition, QuotientGraph, closed_neighborhood_partition,
+                       find_max_clique, max_weight_quotient_clique, quotient_graph)
 from .reconstruct import ReconstructionResult, reconstruct_labels, reps_equivalent
 from .rig import (RigParams, max_clique_from_labels, resolve_params,
                   sample_label_representation, sample_membership, trial_rng)
@@ -24,10 +23,9 @@ __all__ = [
     "FormatError", "decode_graph", "decode_labels", "encode_graph", "encode_labels",
     "CYCLE_FOUND", "CYCLE_NONE", "CYCLE_UNKNOWN", "LabeledCycle",
     "SearchBudgetExceeded", "check_labeled_cycle", "enumerate_maximal_cliques",
-    "exact_max_clique", "find_distinct_label_cycle", "iter_maximal_cliques",
-    "Partition", "QuotientCapExceeded", "QuotientGraph",
-    "closed_neighborhood_partition", "find_max_clique", "max_weight_quotient_clique",
-    "quotient_graph",
+    "exact_max_clique", "find_distinct_label_cycle",
+    "Partition", "QuotientGraph", "closed_neighborhood_partition", "find_max_clique",
+    "max_weight_quotient_clique", "quotient_graph",
     "ReconstructionResult", "reconstruct_labels", "reps_equivalent",
     "RigParams", "max_clique_from_labels", "resolve_params",
     "sample_label_representation", "sample_membership", "trial_rng",

@@ -17,7 +17,7 @@ from .experiments import KINDS, ExperimentConfig, run_experiment
 from .graph import induced_graph, is_chordal
 from .io import decode_graph, decode_labels, encode_graph, encode_labels
 from .oracle import DEFAULT_NODE_BUDGET, exact_max_clique
-from .quotient import DEFAULT_QUOTIENT_CAP, find_max_clique
+from .quotient import find_max_clique
 from .reconstruct import reconstruct_labels, reps_equivalent
 from .rig import (RigParams, max_clique_from_labels, resolve_params,
                   sample_label_representation)
@@ -69,8 +69,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     g = decode_graph(_read(args.graph))
-    _print_clique(find_max_clique(g, quotient_cap=args.quotient_cap,
-                                  node_budget=args.budget))
+    _print_clique(find_max_clique(g, node_budget=args.budget))
     return 0
 
 
@@ -128,11 +127,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.budget is not None:
         budgets = {"node_budget": args.budget, "cycle_budget": args.budget}
     cfg = ExperimentConfig(kind=args.kind, params=params, trials=args.trials,
-                           seed=args.seed, out=Path(args.csv) if args.csv else None,
-                           **budgets)
+                           seed=args.seed, **budgets)
     stats = run_experiment(cfg, jobs=args.jobs, progress=_progress(args.trials))
     if args.csv is None:
         sys.stdout.write(stats.to_csv())
+    else:
+        _write(args.csv, stats.to_csv())
     return 0
 
 
@@ -152,9 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="maximum clique via the quotient solver")
     solve.add_argument("--graph", required=True, help="graph file to solve")
-    solve.add_argument("--quotient-cap", type=int, default=DEFAULT_QUOTIENT_CAP,
-                       help=f"refuse quotients above this many classes "
-                            f"(default {DEFAULT_QUOTIENT_CAP})")
     solve.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                        help=f"quotient search node budget (default {DEFAULT_NODE_BUDGET})")
     solve.set_defaults(func=_cmd_solve)

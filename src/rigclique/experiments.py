@@ -19,13 +19,12 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 from .graph import induced_graph, is_chordal
 from .oracle import (CYCLE_FOUND, DEFAULT_CYCLE_STEPS, DEFAULT_NODE_BUDGET,
                      SearchBudgetExceeded, check_labeled_cycle, find_distinct_label_cycle)
-from .quotient import QuotientCapExceeded, find_max_clique
+from .quotient import find_max_clique
 from .reconstruct import reconstruct_labels, reps_equivalent
 from .rig import (RigParams, resolve_params, sample_label_representation,
                   sample_membership)
@@ -55,7 +54,6 @@ class ExperimentConfig:
     params: RigParams
     trials: int
     seed: int
-    out: Path | None = None
     node_budget: int = DEFAULT_NODE_BUDGET  # quotient-search nodes per single_label trial
     cycle_budget: int = DEFAULT_CYCLE_STEPS
 
@@ -98,7 +96,7 @@ def _single_label_trial(cfg: ExperimentConfig, trial: int) -> dict[str, object]:
     g = induced_graph(rep)
     try:
         clique = find_max_clique(g, node_budget=cfg.node_budget)
-    except (SearchBudgetExceeded, QuotientCapExceeded):
+    except SearchBudgetExceeded:
         return {"trial": trial, "status": "error"}
     omega = len(clique)
     max_label = max((mask.bit_count() for mask in rep.masks), default=0)
@@ -188,8 +186,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
 
     Trials run in a process pool of min(jobs, trials, CPU count) workers,
     or in this process when that is 1; per-trial streams make the result
-    identical either way. Rows are ordered by trial index. If cfg.out is
-    set, the CSV is also written there.
+    identical either way. Rows are ordered by trial index.
     """
     if cfg.kind not in KINDS:
         raise ValueError(f"unknown experiment kind {cfg.kind!r}, expected one of {KINDS}")
@@ -211,10 +208,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
                 rows.append(row)
                 if progress is not None:
                     progress(len(rows))
-    stats = TrialStats(cfg.kind, cfg.params, cfg.seed, rows, _summarize(cfg, rows))
-    if cfg.out is not None:
-        Path(cfg.out).write_text(stats.to_csv(), newline="\n")
-    return stats
+    return TrialStats(cfg.kind, cfg.params, cfg.seed, rows, _summarize(cfg, rows))
 
 
 def _summarize(cfg: ExperimentConfig, rows: list[dict[str, object]]) -> dict[str, object]:

@@ -9,8 +9,6 @@ loudly instead of running away.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
-
 from .graph import Graph, LabelRepresentation, _members
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -119,16 +117,18 @@ def exact_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[
             prefix.pop()
 
 
-def iter_maximal_cliques(g: Graph) -> Iterator[tuple[int, ...]]:
-    """Yield every maximal clique exactly once, as a sorted vertex tuple.
+def enumerate_maximal_cliques(g: Graph,
+                              max_cliques: int = DEFAULT_MAX_CLIQUES) -> list[tuple[int, ...]]:
+    """Every maximal clique exactly once, as sorted vertex tuples.
 
     Bron-Kerbosch with a greedy pivot (adjacent to the most candidates,
     smallest id on ties); emission order is deterministic. It runs on an
     explicit stack, so clique size is not limited by Python's recursion
-    limit.
+    limit. Finding clique max_cliques + 1 raises SearchBudgetExceeded.
     """
+    out: list[tuple[int, ...]] = []
     if g.n == 0:
-        return
+        return out
     bits = g.bits
 
     def frame(p: int, x: int, v: int) -> list[int]:
@@ -160,18 +160,10 @@ def iter_maximal_cliques(g: Graph) -> Iterator[tuple[int, ...]]:
         if sub_p:
             stack.append(frame(sub_p, sub_x, v))
         elif not sub_x:
-            yield tuple(sorted([f[3] for f in stack[1:]] + [v]))
-
-
-def enumerate_maximal_cliques(g: Graph,
-                              max_cliques: int = DEFAULT_MAX_CLIQUES) -> list[tuple[int, ...]]:
-    """Materialized iter_maximal_cliques with an emission budget."""
-    out: list[tuple[int, ...]] = []
-    for clique in iter_maximal_cliques(g):
-        if len(out) >= max_cliques:
-            raise SearchBudgetExceeded(
-                f"maximal-clique enumeration exceeded budget {max_cliques}")
-        out.append(clique)
+            if len(out) >= max_cliques:
+                raise SearchBudgetExceeded(
+                    f"maximal-clique enumeration exceeded budget {max_cliques}")
+            out.append(tuple(sorted([f[3] for f in stack[1:]] + [v])))
     return out
 
 

@@ -20,6 +20,9 @@ import numpy as np
 from .graph import Graph, _pack_rows, _unpack_rows
 from .oracle import DEFAULT_NODE_BUDGET, SearchBudgetExceeded
 
+# Unused by the package: the search is bounded by its node budget alone, and
+# quotient rows are never longer than the input's rows. The benchmark still
+# imports both names, so they go when its imports do.
 DEFAULT_QUOTIENT_CAP = 10_000
 
 
@@ -114,7 +117,6 @@ def _renumbered_rows(rows: tuple[int, ...], perm: list[int]) -> list[int]:
 
 
 def max_weight_quotient_clique(q: QuotientGraph,
-                               cap: int = DEFAULT_QUOTIENT_CAP,
                                node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, ...]:
     """Maximum-weight clique of the quotient, as sorted class indices.
 
@@ -134,12 +136,9 @@ def max_weight_quotient_clique(q: QuotientGraph,
     until the first clique of exactly that weight, so ties go to the
     lexicographically smallest index tuple. Each node of either phase
     costs one unit of node_budget; running out raises
-    SearchBudgetExceeded. Refuses quotients larger than cap classes.
+    SearchBudgetExceeded. The budget is the search's only limit: there is
+    no cap on the number of classes.
     """
-    if q.k > cap:
-        raise QuotientCapExceeded(
-            f"quotient has {q.k} classes, above the cap of {cap}; "
-            f"the input is too far from its quotient for this solver")
     if q.k == 0:
         return ()
     budget = node_budget
@@ -234,18 +233,18 @@ def max_weight_quotient_clique(q: QuotientGraph,
                 stack.append([weight, sub, sum(weights[c] for c in order)])
 
 
-def find_max_clique(g: Graph, quotient_cap: int = DEFAULT_QUOTIENT_CAP,
-                    node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, ...]:
+def find_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, ...]:
     """Maximum clique of g via the closed-neighborhood quotient, as a sorted
     vertex tuple.
 
     Partition, collapse, solve the weighted quotient, then take the union of
     the selected classes; the empty graph gives (). The quotient search
-    refuses above quotient_cap classes or node_budget search nodes.
+    raises SearchBudgetExceeded beyond node_budget search nodes, whatever
+    the number of classes.
     """
     partition = closed_neighborhood_partition(g)
     q = quotient_graph(g, partition)
-    chosen = max_weight_quotient_clique(q, cap=quotient_cap, node_budget=node_budget)
+    chosen = max_weight_quotient_clique(q, node_budget=node_budget)
     vertices: list[int] = []
     for c in chosen:
         vertices.extend(partition.classes[c])

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .graph import Graph, LabelRepresentation, induced_graph
-from .oracle import DEFAULT_MAX_CLIQUES, enumerate_maximal_cliques
+from .oracle import enumerate_maximal_cliques
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,7 @@ class ReconstructionResult:
     candidate_count: int
 
 
-def reconstruct_labels(g: Graph, m: int, p: float,
-                       max_cliques: int = DEFAULT_MAX_CLIQUES) -> ReconstructionResult:
+def reconstruct_labels(g: Graph, m: int, p: float) -> ReconstructionResult:
     """Recover a label representation that induces g, using at most m labels.
 
     Candidates are maximal cliques no smaller than n*p - 3*sqrt(n*p*ln n),
@@ -43,7 +42,7 @@ def reconstruct_labels(g: Graph, m: int, p: float,
         raise ValueError(f"m must be >= 1, got {m}")
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must be strictly between 0 and 1, got {p}")
-    candidates = enumerate_maximal_cliques(g, max_cliques)
+    candidates = enumerate_maximal_cliques(g)
     expected = g.n * p
     if g.n >= 1:
         floor = expected - 3.0 * math.sqrt(expected * math.log(g.n))

@@ -20,16 +20,10 @@ MAX_SEED = 2**64 - 1
 
 @dataclass(frozen=True)
 class RigParams:
-    """Model size (n vertices, m labels) and pick probability p.
-
-    alpha and mp2 record how m and p were derived, when they were; see
-    resolve_params.
-    """
+    """Model size (n vertices, m labels) and pick probability p."""
     n: int
     m: int
     p: float
-    alpha: float | None = None
-    mp2: float | None = None
 
 
 def resolve_params(n: int, m: int | None = None, p: float | None = None,
@@ -38,7 +32,8 @@ def resolve_params(n: int, m: int | None = None, p: float | None = None,
 
     alpha gives m = ceil(n ** alpha); mp2 is the product m * p**2, giving
     p = sqrt(mp2 / m). Raises ValueError on conflicting or missing choices,
-    or when the resolved p falls outside [0, 1].
+    when n ** alpha is not a finite number, or when the resolved p falls
+    outside [0, 1].
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -50,7 +45,11 @@ def resolve_params(n: int, m: int | None = None, p: float | None = None,
         assert alpha is not None
         if alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {alpha}")
-        m = math.ceil(n ** alpha)
+        try:
+            m = math.ceil(n ** alpha)
+        except (OverflowError, ValueError):
+            raise ValueError(f"alpha={alpha} is out of range: n**alpha overflows "
+                             f"or is undefined for n={n}") from None
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if p is None:
@@ -62,7 +61,7 @@ def resolve_params(n: int, m: int | None = None, p: float | None = None,
         p = math.sqrt(mp2 / m)
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"resolved p={p} outside [0, 1]")
-    return RigParams(n=n, m=m, p=float(p), alpha=alpha, mp2=mp2)
+    return RigParams(n=n, m=m, p=float(p))
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:

@@ -256,6 +256,18 @@ class TestExitCodes:
                        "--out-graph", "g.txt", cwd=tmp_path)
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("alpha", ["400", "inf"])
+    def test_alpha_out_of_range(self, tmp_path, alpha):
+        proc = run_cli("gen", "--n", "10", "--alpha", alpha, "--p", "0.1",
+                       "--out-graph", "g.txt", cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: alpha=")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+
+    def test_no_quotient_cap_flag(self):
+        assert run_cli("solve", "--graph", "x", "--quotient-cap", "5").returncode == 2
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):

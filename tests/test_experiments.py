@@ -1,13 +1,11 @@
-import functools
 import math
 
 import pytest
 
 import rigclique.experiments as experiments
 from rigclique import (PRESETS, ExperimentConfig, RigParams, exact_max_clique,
-                       find_max_clique, induced_graph, label_deviation_bound,
-                       resolve_params, run_experiment, sample_label_representation,
-                       set_size_bound)
+                       induced_graph, label_deviation_bound, resolve_params,
+                       run_experiment, sample_label_representation, set_size_bound)
 
 from helpers import label_members
 
@@ -90,15 +88,6 @@ class TestSingleLabelKind:
         assert stats.to_csv().splitlines()[1] == "0,error,,,,,"
         assert stats.summary["errors"] == 2
         assert stats.summary["equal_frac"] == 0.0
-        summary_consistent(stats)
-
-    def test_cap_refusal_becomes_error_row(self, monkeypatch):
-        monkeypatch.setattr(experiments, "find_max_clique",
-                            functools.partial(find_max_clique, quotient_cap=1))
-        cfg = ExperimentConfig("single_label", PRESETS["SL-100"], trials=2, seed=1)
-        stats = run_experiment(cfg)
-        assert stats.to_csv().splitlines()[1:3] == ["0,error,,,,,", "1,error,,,,,"]
-        assert stats.summary["errors"] == 2
         summary_consistent(stats)
 
     def test_no_vertices(self):
@@ -203,13 +192,6 @@ class TestCsvRendering:
         lines = run_experiment(cfg).to_csv().splitlines()
         assert "# summary,label_bound,203.584" in lines
         assert "# summary,set_bound,28.6059" in lines
-
-    def test_out_path_matches_to_csv(self, tmp_path):
-        out = tmp_path / "run.csv"
-        cfg = ExperimentConfig("sparse", resolve_params(n=40, m=8, p=0.02),
-                               trials=3, seed=1, out=out)
-        stats = run_experiment(cfg)
-        assert out.read_text() == stats.to_csv()
 
 
 class TestReproducibility:

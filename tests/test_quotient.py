@@ -9,7 +9,7 @@ import rigclique.graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigclique import (Graph, Partition, QuotientCapExceeded, QuotientGraph,
+from rigclique import (Graph, Partition, QuotientGraph,
                        SearchBudgetExceeded, build_graph, closed_neighborhood_partition,
                        exact_max_clique, find_max_clique, induced_graph, is_clique,
                        max_weight_quotient_clique, quotient_graph, resolve_params,
@@ -158,12 +158,6 @@ class TestMaxWeightQuotientClique:
         q = QuotientGraph((2, 2, 2, 2), build_graph(4, [(0, 3), (1, 2)]))
         assert max_weight_quotient_clique(q) == (0, 3)
 
-    def test_cap_refusal(self):
-        g = build_graph(12, [(v, v + 1) for v in range(11)])
-        q = quotient_graph(g, closed_neighborhood_partition(g))
-        with pytest.raises(QuotientCapExceeded, match="12 classes"):
-            max_weight_quotient_clique(q, cap=5)
-
     def test_empty_quotient(self):
         assert max_weight_quotient_clique(QuotientGraph((), build_graph(0, []))) == ()
 
@@ -235,10 +229,12 @@ class TestFindMaxClique:
     def test_no_vertices_gives_empty(self):
         assert find_max_clique(build_graph(0, [])) == ()
 
-    def test_cap_passes_through(self):
-        g = build_graph(12, [(v, v + 1) for v in range(11)])
-        with pytest.raises(QuotientCapExceeded):
-            find_max_clique(g, quotient_cap=5)
+    def test_no_class_cap(self):
+        # a path has as many classes as vertices; only the node budget limits
+        # the search, so more than 10,000 classes still solve
+        n = 10_001
+        g = build_graph(n, [(v, v + 1) for v in range(n - 1)])
+        assert find_max_clique(g) == exact_max_clique(g) == (0, 1)
 
     def test_agrees_with_oracle_and_is_union_of_classes(self):
         rng = random.Random(41)

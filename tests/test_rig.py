@@ -16,7 +16,11 @@ class TestResolveParams:
         params = resolve_params(n=10_000, alpha=0.5, mp2=0.25)
         assert params.m == 100
         assert params.p == pytest.approx(0.05)
-        assert params.alpha == 0.5 and params.mp2 == 0.25
+
+    @pytest.mark.parametrize("alpha", [400.0, math.inf])
+    def test_alpha_without_finite_label_count(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            resolve_params(n=10, alpha=alpha, p=0.1)
 
     def test_passthrough(self):
         params = resolve_params(n=10, m=3, p=0.5)
