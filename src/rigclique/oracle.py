@@ -9,6 +9,7 @@ loudly instead of running away.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 from .graph import Graph, LabelRepresentation, _members
 
 DEFAULT_NODE_BUDGET = 2_000_000

@@ -136,8 +136,8 @@ def max_weight_quotient_clique(q: QuotientGraph,
     until the first clique of exactly that weight, so ties go to the
     lexicographically smallest index tuple. Each node of either phase
     costs one unit of node_budget; running out raises
-    SearchBudgetExceeded. The budget is the search's only limit: there is
-    no cap on the number of classes.
+    SearchBudgetExceeded. The budget is the search's only limit, whatever
+    the number of classes.
     """
     if q.k == 0:
         return ()
