@@ -26,8 +26,8 @@ from .oracle import (CYCLE_FOUND, DEFAULT_CYCLE_STEPS, DEFAULT_NODE_BUDGET,
                      SearchBudgetExceeded, check_labeled_cycle, find_distinct_label_cycle)
 from .quotient import find_max_clique
 from .reconstruct import reconstruct_labels, reps_equivalent
-from .rig import (RigParams, resolve_params, sample_label_representation,
-                  sample_membership)
+from .rig import (RigParams, max_clique_from_labels, resolve_params,
+                  sample_label_representation, sample_membership)
 
 KINDS = ("single_label", "concentration", "sparse", "reconstruction")
 
@@ -91,15 +91,18 @@ def _cell(value: object) -> str:
 def _single_label_trial(cfg: ExperimentConfig, trial: int) -> dict[str, object]:
     # The quotient solver returns the lexicographically smallest maximum
     # clique, the same tuple as the oracle, so clique_within_one_label does
-    # not depend on which solver ran.
+    # not depend on which solver ran. The largest label's member set is a
+    # clique by construction; as the incumbent it lets the search skip
+    # everything no heavier, which in the single-label regime is all of it.
     rep = sample_label_representation(cfg.params, cfg.seed, trial)
     g = induced_graph(rep)
+    label = max_clique_from_labels(rep)
     try:
-        clique = find_max_clique(g, node_budget=cfg.node_budget)
+        clique = find_max_clique(g, node_budget=cfg.node_budget, clique=label)
     except SearchBudgetExceeded:
         return {"trial": trial, "status": "error"}
     omega = len(clique)
-    max_label = max((mask.bit_count() for mask in rep.masks), default=0)
+    max_label = len(label)
     if max_label > omega:
         # label member sets are cliques, so this can only mean a bug
         raise RuntimeError(

@@ -32,10 +32,14 @@ def exact_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[
     vertex set (Tomita and Seki's MCQ): candidates are greedily colored in
     id order and tried from the highest color down, until size plus color
     cannot beat the best. Phase two rebuilds the lexicographically first
-    clique of that size by ascending-id extension under the same bound.
-    Both phases run on explicit stacks, so depth is not limited by Python's
+    clique of that size by ascending-id extension under the same bound. A
+    child colored with one color per candidate is a clique, so phase two
+    returns it at once, the tuple ascending extension would reach. Both
+    phases run on explicit stacks, so depth is not limited by Python's
     recursion limit, and share one node budget, charged once per node;
-    exceeding it raises SearchBudgetExceeded.
+    exceeding it raises SearchBudgetExceeded. There is no incumbent: the
+    search stays a reference independent of the labels and of the quotient
+    solver.
     """
     if g.n == 0:
         return ()
@@ -112,10 +116,15 @@ def exact_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[
         if need == 1:
             return tuple(prefix)
         sub = stack[-1] & bits[v]
-        if sub.bit_count() >= need - 1 and color_sorted(sub)[-1][1] >= need - 1:
-            stack.append(sub)
-        else:
-            prefix.pop()
+        size = sub.bit_count()
+        if size >= need - 1:
+            colors = color_sorted(sub)[-1][1]
+            if colors == size:  # a clique, of need - 1 members since none beats best
+                return tuple(prefix + _members(sub))
+            if colors >= need - 1:
+                stack.append(sub)
+                continue
+        prefix.pop()
 
 
 def enumerate_maximal_cliques(g: Graph,

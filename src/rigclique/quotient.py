@@ -14,10 +14,11 @@ labels can have exponentially many of those.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .graph import Graph, _pack_rows, _unpack_rows
+from .graph import Graph, _pack_rows, _unpack_rows, is_clique
 from .oracle import DEFAULT_NODE_BUDGET, SearchBudgetExceeded
 
 # Unused by the package: the search is bounded by its node budget alone, and
@@ -117,7 +118,8 @@ def _renumbered_rows(rows: tuple[int, ...], perm: list[int]) -> list[int]:
 
 
 def max_weight_quotient_clique(q: QuotientGraph,
-                               node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, ...]:
+                               node_budget: int = DEFAULT_NODE_BUDGET,
+                               clique: Iterable[int] = ()) -> tuple[int, ...]:
     """Maximum-weight clique of the quotient, as sorted class indices.
 
     Branch and bound over bitmask rows, on explicit stacks. The upper bound
@@ -134,11 +136,23 @@ def max_weight_quotient_clique(q: QuotientGraph,
     the bounds are tight where the search branches. Phase two, in class
     index order (classes by smallest member), extends in ascending index
     until the first clique of exactly that weight, so ties go to the
-    lexicographically smallest index tuple. Each node of either phase
-    costs one unit of node_budget; running out raises
-    SearchBudgetExceeded. The budget is the search's only limit, whatever
-    the number of classes.
+    lexicographically smallest index tuple. Weights are positive, so a
+    child whose colouring peels only singletons, its bound equal to its
+    total weight, is a clique: when that total completes the best weight,
+    phase two returns the child's candidates at once, the tuple ascending
+    extension would reach. Each node of either phase costs one unit of
+    node_budget; running out raises SearchBudgetExceeded. The budget is the
+    search's only limit, whatever the number of classes.
+
+    clique, a known clique of class indices, is the incumbent: phase one
+    starts from its weight, so it only searches for heavier cliques, and
+    closes at the root when the root's bound is no higher. The answer is
+    the same tuple with or without it. A clique that is not one raises
+    ValueError, and an index out of range GraphError.
     """
+    clique = set(clique)
+    if not is_clique(q.graph, clique):
+        raise ValueError("incumbent is not a clique of the quotient")
     if q.k == 0:
         return ()
     budget = node_budget
@@ -183,7 +197,7 @@ def max_weight_quotient_clique(q: QuotientGraph,
     rows = _renumbered_rows(q.graph.bits, perm)
     weights = tuple(q.weights[c] for c in perm)
     others = [~(row | (1 << v)) for v, row in enumerate(rows)]
-    best = 0
+    best = sum(q.weights[c] for c in clique)
     # frame: [weight so far, candidates, order, bounds, next index from the end]
     order, bounds = node(full, others, weights)
     stack = [[0, full, order, bounds, len(order)]]
@@ -215,7 +229,7 @@ def max_weight_quotient_clique(q: QuotientGraph,
         weight, pmask, left = frame
         if weight + left < best:
             stack.pop()
-            prefix.pop()  # the root can always reach best, so is never popped
+            prefix.pop()  # some clique weighs best, so the root is never popped
             continue
         low = pmask & -pmask
         v = low.bit_length() - 1
@@ -230,10 +244,14 @@ def max_weight_quotient_clique(q: QuotientGraph,
             order, bounds = node(sub, others, weights)
             if weight + bounds[-1] >= best:
                 prefix.append(v)
-                stack.append([weight, sub, sum(weights[c] for c in order)])
+                total = sum(weights[c] for c in order)
+                if bounds[-1] == total:  # sub is a clique, and no clique beats best
+                    return tuple(prefix + sorted(order))
+                stack.append([weight, sub, total])
 
 
-def find_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, ...]:
+def find_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
+                    clique: Iterable[int] = ()) -> tuple[int, ...]:
     """Maximum clique of g via the closed-neighborhood quotient, as a sorted
     vertex tuple.
 
@@ -241,10 +259,20 @@ def find_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[i
     the selected classes; the empty graph gives (). The quotient search
     raises SearchBudgetExceeded beyond node_budget search nodes, whatever
     the number of classes.
+
+    clique, a known clique of g such as a label's member set, warm-starts
+    the search: the classes it meets form a clique of the quotient, whose
+    weight is phase one's starting best. The answer is the same tuple with
+    or without it. A clique that is not one raises ValueError, and a vertex
+    out of range GraphError.
     """
+    clique = set(clique)
+    if not is_clique(g, clique):
+        raise ValueError("incumbent is not a clique of g")
     partition = closed_neighborhood_partition(g)
     q = quotient_graph(g, partition)
-    chosen = max_weight_quotient_clique(q, node_budget=node_budget)
+    met = [c for c, cls in enumerate(partition.classes) if not clique.isdisjoint(cls)]
+    chosen = max_weight_quotient_clique(q, node_budget=node_budget, clique=met)
     vertices: list[int] = []
     for c in chosen:
         vertices.extend(partition.classes[c])

@@ -55,6 +55,20 @@ def complete_graph(n: int) -> Graph:
     return build_graph(n, list(combinations(range(n), 2)))
 
 
+def complete_multipartite(sizes: list[int]) -> Graph:
+    """Parts of the given sizes on consecutive ids; two vertices are
+    adjacent iff they lie in different parts."""
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    return build_graph(len(part), [(u, v) for u, v in combinations(range(len(part)), 2)
+                                   if part[u] != part[v]])
+
+
+def corona(k: int) -> Graph:
+    """K_k on vertices k..2k-1, with vertex i a pendant of vertex k + i."""
+    edges = list(combinations(range(k, 2 * k), 2)) + [(i, k + i) for i in range(k)]
+    return build_graph(2 * k, edges)
+
+
 def two_triangles() -> Graph:
     # triangles {0,1,2} and {1,2,3} sharing the edge (1,2)
     return build_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])

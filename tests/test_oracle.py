@@ -9,9 +9,9 @@ from rigclique import (CYCLE_FOUND, CYCLE_NONE, CYCLE_UNKNOWN, LabeledCycle,
                        exact_max_clique, find_distinct_label_cycle, induced_graph,
                        resolve_params, sample_label_representation)
 
-from helpers import (all_maximal_cliques, complete_graph, exact_intersection_number,
-                     exhaustive_labeled_cycle_exists, mask_is_clique,
-                     random_graph, random_label_rep, subset_max_clique,
+from helpers import (all_maximal_cliques, complete_graph, complete_multipartite, corona,
+                     exact_intersection_number, exhaustive_labeled_cycle_exists,
+                     mask_is_clique, random_graph, random_label_rep, subset_max_clique,
                      two_triangles)
 
 
@@ -74,16 +74,38 @@ class TestExactMaxClique:
         assert exact_max_clique(g) == exact_max_clique(g)
 
     @pytest.mark.parametrize("n, m, p, omega, nodes", [
-        (400, 10, 0.2, 91, 355),  # ladder rung L1
-        (400, 6, 0.3, 126, 257),  # a single-label-dense trial; phase two's colour check prunes
-        (2000, 10, 0.2, 435, 873),  # ladder rung L2
-    ])
+        (400, 10, 0.2, 91, 272),  # ladder rung L1: 263 nodes in phase one, 9 in phase two
+        (400, 6, 0.3, 126, 133),  # a single-label-dense trial: 126 + 7
+        (2000, 10, 0.2, 435, 439),  # ladder rung L2: 435 + 4
+    ], ids=["L1", "single-label-dense", "L2"])
     def test_exact_node_count(self, n, m, p, omega, nodes):
         g = induced_graph(sample_label_representation(
             resolve_params(n=n, m=m, p=p), seed=1, trial=0))
         assert len(exact_max_clique(g, node_budget=nodes)) == omega
         with pytest.raises(SearchBudgetExceeded, match=f"node budget {nodes - 1}"):
             exact_max_clique(g, node_budget=nodes - 1)
+
+
+    @pytest.mark.parametrize("graph, nodes", [
+        # phase two: the root, then 0, whose candidates 1..7 are a clique;
+        # extending one vertex at a time took 8 + 9
+        (complete_graph(8), 10),
+        # parts {0,1,2} and {3,4,5}, then 6, 7, 8: after 0 and 3 the
+        # candidates 6, 7, 8 are a clique, 5 + 3 where it took 5 + 6
+        (complete_multipartite([3, 3, 1, 1, 1]), 8),
+        (corona(6), 14),  # 6 + 8, where it took 6 + 13
+    ], ids=["K8", "K3,3,1,1,1", "corona-K6"])
+    def test_phase_two_stops_at_a_clique(self, graph, nodes):
+        assert exact_max_clique(graph, node_budget=nodes) == subset_max_clique(graph)
+        with pytest.raises(SearchBudgetExceeded, match=f"node budget {nodes - 1}"):
+            exact_max_clique(graph, node_budget=nodes - 1)
+
+    def test_dense_graphs_match_brute_force(self):
+        # dense graphs leave clique candidates often, so the early stop fires
+        rng = random.Random(71)
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(1, 12), rng.choice([0.7, 0.85, 0.95]))
+            assert exact_max_clique(g) == subset_max_clique(g)
 
 
 class TestMaximalCliqueEnumeration:

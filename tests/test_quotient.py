@@ -9,17 +9,19 @@ import rigclique.graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigclique import (Graph, Partition, QuotientGraph,
-                       SearchBudgetExceeded, build_graph, closed_neighborhood_partition,
-                       exact_max_clique, find_max_clique, induced_graph, is_clique,
+from rigclique import (Graph, GraphError, Partition, QuotientGraph,
+                       SearchBudgetExceeded, build_graph, build_labels,
+                       closed_neighborhood_partition, exact_max_clique, find_max_clique,
+                       induced_graph, is_clique, max_clique_from_labels,
                        max_weight_quotient_clique, quotient_graph, resolve_params,
                        sample_label_representation)
 from rigclique.quotient import _renumbered_rows
 
 from helpers import (check_quotient, class_of, closed_neighborhood, complete_graph,
-                     exact_intersection_number, pairwise_partition, quotient_rows_loop,
-                     random_graph, random_quotient, subset_max_weight_clique,
-                     two_triangles)
+                     complete_multipartite, corona, exact_intersection_number,
+                     label_members, pairwise_partition, quotient_rows_loop,
+                     random_graph, random_quotient, subset_max_clique,
+                     subset_max_weight_clique, two_triangles)
 
 
 class TestPartition:
@@ -250,7 +252,7 @@ class TestFindMaxClique:
             assert rebuilt == list(clique)
 
     def test_solves_l1_within_fixed_node_budget(self):
-        # ladder rung L1; both search phases together take 107 nodes (54 + 53)
+        # ladder rung L1; both search phases together take 62 nodes (54 + 8)
         rep = sample_label_representation(resolve_params(n=400, m=10, p=0.2), seed=1, trial=0)
         g = induced_graph(rep)
         clique = find_max_clique(g, node_budget=250)
@@ -258,15 +260,36 @@ class TestFindMaxClique:
         assert len(clique) == len(exact_max_clique(g))
 
     @pytest.mark.parametrize("n, m, p, nodes", [
-        (400, 10, 0.2, 107),  # ladder rung L1: 54 nodes in phase one, 53 in phase two
-        (400, 6, 0.3, 53),  # a single-label-dense trial: 25 + 28
-    ])
+        (400, 10, 0.2, 62),  # ladder rung L1: 54 nodes in phase one, 8 in phase two
+        (400, 6, 0.3, 31),  # a single-label-dense trial: 25 + 6
+    ], ids=["L1", "single-label-dense"])
     def test_exact_node_count(self, n, m, p, nodes):
         g = induced_graph(sample_label_representation(resolve_params(n=n, m=m, p=p),
                                                       seed=1, trial=0))
         assert find_max_clique(g, node_budget=nodes) == exact_max_clique(g)
         with pytest.raises(SearchBudgetExceeded, match=f"node budget {nodes - 1}"):
             find_max_clique(g, node_budget=nodes - 1)
+
+    @pytest.mark.parametrize("graph, nodes", [
+        (complete_graph(8), 1),  # one class: the root is the whole search
+        # parts {0,1,2} and {3,4,5}; 6, 7, 8 are universal, so one class
+        (complete_multipartite([3, 3, 1, 1, 1]), 5),
+        # phase two tries the pendants 0..5, then takes 6, whose candidates
+        # 7..11 are a clique: 6 + 7 nodes, where extending one class at a
+        # time took 6 + 11
+        (corona(6), 13),
+    ], ids=["K8", "K3,3,1,1,1", "corona-K6"])
+    def test_phase_two_stops_at_a_clique(self, graph, nodes):
+        assert find_max_clique(graph, node_budget=nodes) == exact_max_clique(graph)
+        with pytest.raises(SearchBudgetExceeded, match=f"node budget {nodes - 1}"):
+            find_max_clique(graph, node_budget=nodes - 1)
+
+    def test_dense_graphs_match_brute_force(self):
+        # dense graphs leave clique candidates often, so the early stop fires
+        rng = random.Random(61)
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(1, 12), rng.choice([0.7, 0.85, 0.95]))
+            assert find_max_clique(g) == subset_max_clique(g)
 
     @given(n=st.integers(1, 300), m=st.integers(1, 10), p=st.floats(0.02, 0.35),
            seed=st.integers(0, 2**32 - 1))
@@ -276,6 +299,55 @@ class TestFindMaxClique:
         # lexicographically smallest maximum clique
         g = induced_graph(sample_label_representation(resolve_params(n=n, m=m, p=p), seed))
         assert find_max_clique(g) == exact_max_clique(g)
+
+
+class TestIncumbent:
+    def test_non_clique_raises(self):
+        g = build_graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="not a clique"):
+            find_max_clique(g, clique=(0, 2))
+        q = quotient_graph(g, closed_neighborhood_partition(g))
+        with pytest.raises(ValueError, match="not a clique"):
+            max_weight_quotient_clique(q, clique=(0, 2))
+
+    def test_out_of_range_vertex_raises(self):
+        g = build_graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(GraphError, match="out of range"):
+            find_max_clique(g, clique=(1, 3))
+        with pytest.raises(GraphError, match="out of range"):
+            find_max_clique(build_graph(0, []), clique=(0,))
+
+    def test_any_label_gives_the_same_tuple(self):
+        rng = random.Random(67)
+        for _ in range(40):
+            params = resolve_params(n=rng.randint(1, 200), m=rng.randint(1, 8),
+                                    p=rng.choice([0.05, 0.2, 0.4]))
+            rep = sample_label_representation(params, rng.randrange(2**32))
+            g = induced_graph(rep)
+            answer = find_max_clique(g)
+            for members in label_members(rep):
+                assert find_max_clique(g, clique=members) == answer
+
+    def test_tie_goes_to_the_earlier_label(self):
+        # two disjoint labels of three; the later one as incumbent must
+        # still give the lexicographically smaller clique
+        rep = build_labels(6, 2, [[0], [0], [0], [1], [1], [1]])
+        g = induced_graph(rep)
+        assert find_max_clique(g, clique=(3, 4, 5)) == (0, 1, 2)
+        q = quotient_graph(g, closed_neighborhood_partition(g))
+        assert max_weight_quotient_clique(q, clique=(1,)) == (0,)
+
+    @pytest.mark.parametrize("n, m, p, nodes", [
+        (400, 10, 0.2, 9),  # ladder rung L1: 1 node in phase one, 8 in phase two
+        (400, 6, 0.3, 7),  # a single-label-dense trial: 1 + 6
+    ], ids=["L1", "single-label-dense"])
+    def test_largest_label_closes_phase_one_at_the_root(self, n, m, p, nodes):
+        rep = sample_label_representation(resolve_params(n=n, m=m, p=p), seed=1, trial=0)
+        g = induced_graph(rep)
+        label = max_clique_from_labels(rep)
+        assert find_max_clique(g, node_budget=nodes, clique=label) == exact_max_clique(g)
+        with pytest.raises(SearchBudgetExceeded, match=f"node budget {nodes - 1}"):
+            find_max_clique(g, node_budget=nodes - 1, clique=label)
 
 
 class TestQuotientSizeBound:
