@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Callable
 
@@ -196,8 +197,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code.
+
+    The parser is built once per process, on the first call, and reused by
+    every later call; parsing keeps no state between calls.
+    """
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -74,15 +74,19 @@ def _pack_rows(widths: Sequence[int],
     Row i needs widths[i] >= 1 cells. Consecutive rows share a block while
     rows times the widest of them stays within _BLOCK_CELLS (a wider row
     gets a block of its own), so the transient cost follows the rows, not
-    the vertex count. fill(start, stop, width) returns rows start..stop-1
-    as a boolean array of stop - start rows and 1..width columns. Each
-    block is padded to whole bytes per row and packed as one flat array,
-    which numpy does far faster than packing along axis 1.
+    the vertex count; when all rows fit, they are one block, planned
+    without the per-row loop. fill(start, stop, width) returns rows
+    start..stop-1 as a boolean array of stop - start rows and 1..width
+    columns. Each block is padded to whole bytes per row and packed as one
+    flat array, which numpy does far faster than packing along axis 1.
     """
     rows: list[int] = []
+    widest = max(widths, default=0)
     start = 0
     while start < len(widths):
         stop, width = start + 1, widths[start]
+        if len(widths) * widest <= _BLOCK_CELLS:
+            stop, width = len(widths), widest  # all rows fit in one block
         while stop < len(widths) and (stop + 1 - start) * max(width, widths[stop]) <= _BLOCK_CELLS:
             width = max(width, widths[stop])
             stop += 1
@@ -176,13 +180,13 @@ def induced_graph(rep: LabelRepresentation) -> Graph:
     """Graph with an edge wherever two vertices share at least one label.
 
     Each L_i contributes a clique: its mask is ORed into the row of every
-    member, and each row then drops its own vertex.
+    member, and each labelled vertex's row then drops its own bit.
     """
     bits = [0] * rep.n
     for mask in rep.masks:
         for v in _members(mask):
             bits[v] |= mask
-    return Graph(rep.n, tuple(row & ~(1 << v) for v, row in enumerate(bits)))
+    return Graph(rep.n, tuple(row ^ (1 << v) if row else 0 for v, row in enumerate(bits)))
 
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:

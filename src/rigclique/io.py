@@ -97,6 +97,10 @@ def _decode_canonical(text: str) -> Graph | None:
 
     def fill(start: int, stop: int, width: int) -> np.ndarray:
         block = np.zeros((stop - start, width), dtype=bool)
+        if stop - start == len(active):  # every arc lands in this block
+            block[rank[u], v] = True
+            block[rank[v], u] = True
+            return block
         lo, hi = active[start], active[stop - 1]
         for a, b in ((u, v), (v, u)):
             arcs = (a >= lo) & (a <= hi)

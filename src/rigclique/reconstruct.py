@@ -8,6 +8,7 @@ a result, not an exception: the caller learns how far the cover got.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -59,15 +60,21 @@ def reconstruct_labels(g: Graph, m: int, p: float) -> ReconstructionResult:
     total = sum(map(int.bit_count, uncovered)) // 2
     left = total
     chosen: list[int] = []
-    while left and len(chosen) < m:
-        best = -1
-        best_fresh = 0
-        for i, (clique, mask) in enumerate(zip(candidates, masks)):
-            fresh = sum((uncovered[v] & mask).bit_count() for v in clique)
-            if fresh > best_fresh:  # ties keep the earlier, bigger clique
-                best, best_fresh = i, fresh
-        if best < 0:
-            break  # leftovers sit outside every candidate
+
+    # lazy greedy (Minoux): fresh counts only fall, so a heap entry's count
+    # bounds the candidate's current one; a top entry whose count is still
+    # current is the most covering candidate, ties going to the smaller
+    # index, which is the earlier, bigger clique. A k-clique starts with
+    # all k(k-1) of its ordered pairs fresh.
+    heap = [(-len(c) * (len(c) - 1), i) for i, c in enumerate(candidates) if len(c) >= 2]
+    heapq.heapify(heap)
+    while left and len(chosen) < m and heap:
+        stale, best = heapq.heappop(heap)
+        best_fresh = sum((uncovered[v] & masks[best]).bit_count() for v in candidates[best])
+        if best_fresh != -stale:
+            if best_fresh:
+                heapq.heappush(heap, (-best_fresh, best))
+            continue
         chosen.append(masks[best])
         for v in candidates[best]:
             uncovered[v] &= ~masks[best]

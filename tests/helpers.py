@@ -7,6 +7,7 @@ definitions, no shared code with the algorithms under test.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from functools import lru_cache
@@ -15,6 +16,7 @@ from pathlib import Path
 
 from rigclique import (Graph, LabelRepresentation, Partition, QuotientGraph, build_graph,
                        build_labels)
+from rigclique.oracle import enumerate_maximal_cliques
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -273,6 +275,36 @@ def greedy_pair_cover(g: Graph, m: int) -> tuple[list[tuple[int, ...]], int]:
         chosen.append(candidates[best])
         uncovered -= set(combinations(candidates[best], 2))
     return chosen, len(uncovered)
+
+
+def linear_scan_cover(g: Graph, m: int, p: float) -> tuple[list[int], int]:
+    """reconstruct_labels' greedy cover as a plain scan: the same candidates
+    (the package's maximal cliques, checked against all_maximal_cliques
+    elsewhere) and size window, and each step recounts every candidate and
+    keeps the first one covering the most uncovered edges. Returns the
+    chosen clique masks in order and the count of edges left uncovered."""
+    candidates = enumerate_maximal_cliques(g)
+    if g.n >= 1:
+        expected = g.n * p
+        floor = expected - 3.0 * math.sqrt(expected * math.log(g.n))
+        if floor > 2.0:
+            candidates = [c for c in candidates if len(c) >= floor]
+    candidates.sort(key=lambda c: (-len(c), c))
+    masks = [sum(1 << v for v in c) for c in candidates]
+    uncovered = list(g.bits)
+    left = sum(map(int.bit_count, uncovered)) // 2
+    chosen: list[int] = []
+    while left and len(chosen) < m:
+        fresh = [sum((uncovered[v] & mask).bit_count() for v in c)
+                 for c, mask in zip(candidates, masks)]
+        if not any(fresh):
+            break
+        best = fresh.index(max(fresh))
+        chosen.append(masks[best])
+        for v in candidates[best]:
+            uncovered[v] &= ~masks[best]
+        left -= fresh[best] // 2
+    return chosen, left
 
 
 def exhaustive_labeled_cycle_exists(rep: LabelRepresentation) -> bool:

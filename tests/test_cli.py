@@ -12,7 +12,8 @@ import sys
 
 import pytest
 
-from rigclique import (build_graph, decode_graph, decode_labels, induced_graph,
+import rigclique.cli
+from rigclique import (build_graph, decode_graph, decode_labels, encode_graph, induced_graph,
                        is_clique, resolve_params, sample_label_representation)
 
 from helpers import ROOT, checkout_env
@@ -267,6 +268,32 @@ class TestExitCodes:
 
     def test_no_quotient_cap_flag(self):
         assert run_cli("solve", "--graph", "x", "--quotient-cap", "5").returncode == 2
+
+
+class TestInProcessReuse:
+    def test_calls_in_one_process_match_first_calls(self, tmp_path, monkeypatch, capsys):
+        """main keeps one parser per process: each call in a sequence that
+        mixes results, a usage error and a missing file exits and prints
+        exactly what the same call does as the first of a fresh process."""
+        rep = sample_label_representation(resolve_params(n=60, m=8, p=0.2), seed=9, trial=0)
+        (tmp_path / "g.txt").write_text(encode_graph(induced_graph(rep)))
+        monkeypatch.chdir(tmp_path)
+        calls = [["solve", "--graph", "g.txt"],
+                 ["oracle"],
+                 ["solve", "--graph", "nope.txt"],
+                 ["oracle", "--graph", "g.txt"],
+                 ["solve", "--graph", "g.txt"]]
+        codes = []
+        for args in calls:
+            try:
+                code = rigclique.cli.main(args)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            first = run_cli(*args, cwd=tmp_path)
+            assert (code, out.out, out.err) == (first.returncode, first.stdout, first.stderr)
+            codes.append(code)
+        assert codes == [0, 2, 1, 0, 0]
 
 
 class TestConsoleScript:

@@ -4,13 +4,15 @@ canonical files, and its memory bound."""
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rigclique.graph
 import rigclique.io
-from rigclique import FormatError, GraphError, build_graph, decode_graph, encode_graph
+from rigclique import (FormatError, GraphError, build_graph, decode_graph, encode_graph,
+                       induced_graph, resolve_params, sample_label_representation)
 
 from helpers import random_graph
 
@@ -98,8 +100,46 @@ def test_small_blocks_give_same_rows(monkeypatch):
         assert decode_graph(encode_graph(g)) == g
 
 
+# a row wider than a 64-cell block sits between narrow ones
+PACK_WIDTHS = [[1], [5, 3, 8], [3, 5, 200, 2, 7, 64, 65, 1], [9] * 20]
+
+
+@pytest.mark.parametrize("widths", PACK_WIDTHS)
+def test_pack_rows_same_rows_at_any_block_size(monkeypatch, widths):
+    rng = random.Random(len(widths))
+    want = [rng.getrandbits(w) | 1 << (w - 1) for w in widths]
+
+    def fill(start, stop, width):
+        blocks.append((start, stop, width))
+        return np.array([[(row >> j) & 1 for j in range(width)] for row in want[start:stop]],
+                        dtype=bool)
+
+    for cells in (64, 1 << 40):
+        monkeypatch.setattr(rigclique.graph, "_BLOCK_CELLS", cells)
+        blocks = []
+        assert rigclique.graph._pack_rows(widths, fill) == want
+        # consecutive blocks tile the rows in order
+        assert [start for start, _, _ in blocks] == [0] + [stop for _, stop, _ in blocks[:-1]]
+        assert blocks[-1][1] == len(widths)
+        for start, stop, width in blocks:
+            assert width == max(widths[start:stop])
+            assert stop - start == 1 or (stop - start) * width <= cells
+    assert blocks == [(0, len(widths), max(widths))]
+
+
 def _refuse(*args):
     raise AssertionError("the line parser ran")
+
+
+def test_ladder_file_same_graph_at_any_block_size(monkeypatch):
+    # G(250, 10, 0.2), the size of the files the benchmark's solve calls read
+    rep = sample_label_representation(resolve_params(n=250, m=10, p=0.2), seed=1, trial=0)
+    g = induced_graph(rep)
+    text = encode_graph(g)
+    monkeypatch.setattr(rigclique.io, "build_graph", _refuse)
+    for cells in (64, 1 << 40):
+        monkeypatch.setattr(rigclique.graph, "_BLOCK_CELLS", cells)
+        assert decode_graph(text) == g
 
 
 def test_canonical_file_takes_array_path(monkeypatch):

@@ -3,10 +3,12 @@ from itertools import combinations
 
 import pytest
 
-from rigclique import (LabelRepresentation, build_graph, build_labels, induced_graph,
-                       reconstruct_labels, reps_equivalent)
+from rigclique import (PRESETS, LabelRepresentation, build_graph, build_labels,
+                       induced_graph, reconstruct_labels, reps_equivalent,
+                       sample_label_representation)
 
-from helpers import greedy_pair_cover, label_members, label_sets, random_label_rep
+from helpers import (greedy_pair_cover, label_members, label_sets, linear_scan_cover,
+                     random_label_rep)
 
 
 class TestReconstructExamples:
@@ -133,6 +135,51 @@ class TestReconstructSoundness:
                 assert result.rep.m == m
                 used = sum(1 for mask in result.rep.masks if mask)
                 assert used <= m
+
+
+def equal_size_labels(rng: random.Random, n: int, m: int, k: int) -> LabelRepresentation:
+    """m labels of k random members each: many maximal cliques of one size,
+    so greedy steps tie on their fresh counts, at the start and after
+    overlapping picks."""
+    return LabelRepresentation(
+        n, m, tuple(sum(1 << v for v in rng.sample(range(n), k)) for _ in range(m)))
+
+
+class TestLazyCover:
+    """The heap-driven cover picks the masks the linear scan picks, in the
+    same order, ties included."""
+
+    def check(self, g, m, p):
+        chosen, left = linear_scan_cover(g, m, p)
+        result = reconstruct_labels(g, m, p)
+        total = sum(map(int.bit_count, g.bits)) // 2
+        assert result.covered_edges == total - left
+        if left:
+            assert result.rep is None
+        else:
+            assert result.rep.masks == tuple(chosen) + (0,) * (m - len(chosen))
+
+    @pytest.mark.parametrize("trial", range(12))
+    def test_sl100_samples(self, trial):
+        params = PRESETS["SL-100"]
+        rep = sample_label_representation(params, seed=3, trial=trial)
+        self.check(induced_graph(rep), params.m, params.p)
+
+    def test_random_label_graphs_with_ties(self):
+        rng = random.Random(21)
+        for _ in range(150):
+            n = rng.randint(4, 30)
+            k = rng.randint(2, min(n, 6))
+            m = rng.randint(1, 8)
+            g = induced_graph(equal_size_labels(rng, n, m, k))
+            self.check(g, rng.randint(1, m + 2), rng.choice([0.1, 0.3, 0.5]))
+
+    def test_disjoint_equal_labels_go_in_clique_order(self):
+        g = induced_graph(build_labels(9, 3, [[2], [2], [2], [1], [1], [1], [0], [0], [0]]))
+        result = reconstruct_labels(g, 3, 0.3)
+        assert result.rep.masks == (0b111, 0b111000, 0b111000000)
+        self.check(g, 3, 0.3)
+        self.check(g, 2, 0.3)
 
 
 class TestRepsEquivalent:
