@@ -48,9 +48,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.bits[v].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (self.bits[u] >> v) & 1 == 1
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

@@ -28,15 +28,18 @@ class SearchBudgetExceeded(RuntimeError):
 def exact_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, ...]:
     """Lexicographically smallest maximum clique, as a sorted vertex tuple.
 
-    Phase one finds the clique number by one branch and bound from the whole
-    vertex set (Tomita and Seki's MCQ): candidates are greedily colored in
-    id order and tried from the highest color down, until size plus color
-    cannot beat the best. Phase two rebuilds the lexicographically first
-    clique of that size by ascending-id extension under the same bound. A
-    child colored with one color per candidate is a clique, so phase two
-    returns it at once, the tuple ascending extension would reach. Both
-    phases run on explicit stacks, so depth is not limited by Python's
-    recursion limit, and share one node budget, charged once per node;
+    One branch and bound (Tomita and Seki's MCQ) finds the clique number and
+    a witness clique from the whole vertex set: candidates are greedily
+    colored, each color peeled from the highest id down, and tried from the
+    highest color down, the lowest id first within a color, until size plus
+    color cannot beat the best. A scan then walks the vertices in id order,
+    keeping each that extends the vertices kept so far to a maximum clique:
+    a witness member at once, any other vertex only when a search of its
+    remaining neighbours finds the rest, which becomes the witness. A search
+    stops at its first clique that reaches its target: all n vertices for
+    the first, a maximum clique for the scan's. Searches run on explicit
+    stacks, so depth is not limited by Python's recursion
+    limit, and share one node budget, charged once per node colored;
     exceeding it raises SearchBudgetExceeded. There is no incumbent: the
     search stays a reference independent of the labels and of the quotient
     solver.
@@ -46,16 +49,15 @@ def exact_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[
     bits = g.bits
     budget = node_budget
 
-    def charge() -> None:
+    def color_sorted(pmask: int) -> list[tuple[int, int]]:
+        # Charge one node, then greedily color the candidate set; output is
+        # (vertex, color) with colors nondecreasing, ids descending within
+        # a color, so the lowest id of a color is branched on first.
         nonlocal budget
         budget -= 1
         if budget < 0:
             raise SearchBudgetExceeded(
                 f"maximum-clique search exceeded node budget {node_budget}")
-
-    def color_sorted(pmask: int) -> list[tuple[int, int]]:
-        # Greedy coloring of the candidate set; output is (vertex, color)
-        # with colors nondecreasing, ids ascending within a color.
         out: list[tuple[int, int]] = []
         color = 0
         rest = pmask
@@ -63,68 +65,61 @@ def exact_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[
             color += 1
             avail = rest
             while avail:
-                low = avail & -avail
-                v = low.bit_length() - 1
+                v = avail.bit_length() - 1
                 out.append((v, color))
-                avail &= ~(bits[v] | low)
-                rest ^= low
+                avail &= ~(bits[v] | (1 << v))
+                rest ^= 1 << v
         return out
 
-    # Phase one. A frame is [clique size so far, candidates left, their
-    # coloring, next index from the end]; a node is charged when its frame
-    # is made. The root frame holds every vertex, colored in id order.
-    best = 0
-    full = (1 << g.n) - 1
-    charge()
-    stack = [[0, full, color_sorted(full), g.n]]
-    while stack:
-        frame = stack[-1]
-        rsize, pmask, colored, i = frame
-        i -= 1
-        if i < 0 or rsize + colored[i][1] <= best:
-            stack.pop()  # everything earlier has a color no higher
-            continue
-        v = colored[i][0]
-        frame[1] = pmask & ~(1 << v)
-        frame[3] = i
-        sub = pmask & bits[v]
-        if sub:
-            charge()
-            colored = color_sorted(sub)
-            stack.append([rsize + 1, sub, colored, len(colored)])
-        elif rsize + 1 > best:
-            best = rsize + 1
+    witness: set[int] = set()
 
-    # Phase two: stack[d] holds the candidates not yet tried after the d
-    # vertices of prefix. Taking v charges the child node, which is dropped
-    # at once unless enough candidates and colors remain to reach best.
-    charge()  # the root, which can always reach best, so is never popped
-    prefix: list[int] = []
-    stack = [full]
-    while True:
-        need = best - len(prefix)
-        pmask = stack[-1]
-        if pmask.bit_count() < need:
-            stack.pop()
-            prefix.pop()
-            continue
-        low = pmask & -pmask
-        v = low.bit_length() - 1
-        stack[-1] = pmask ^ low
-        prefix.append(v)
-        charge()
-        if need == 1:
-            return tuple(prefix)
-        sub = stack[-1] & bits[v]
-        size = sub.bit_count()
-        if size >= need - 1:
-            colors = color_sorted(sub)[-1][1]
-            if colors == size:  # a clique, of need - 1 members since none beats best
-                return tuple(prefix + _members(sub))
-            if colors >= need - 1:
-                stack.append(sub)
+    def search(pmask: int, best: int, target: int) -> int:
+        # The size of the largest clique in pmask, or of the first found
+        # with target or more vertices, if it has more than best; else best.
+        # Each clique found with more becomes the witness.
+        nonlocal witness
+        # frame: [clique size so far, candidates left, the vertex whose
+        #         branch made it, the (vertex, color) pairs not yet branched
+        #         on, None until the frame is first visited]
+        stack = [[0, pmask, -1, None]]
+        while stack:
+            frame = stack[-1]
+            size, pmask, _, colored = frame
+            if colored is None:
+                colored = frame[3] = color_sorted(pmask)
+            if not colored or size + colored[-1][1] <= best:
+                stack.pop()  # everything earlier has a color no higher
                 continue
-        prefix.pop()
+            v = colored.pop()[0]
+            frame[1] = pmask ^ (1 << v)
+            size += 1
+            sub = pmask & bits[v]
+            if sub and size < target:
+                # every clique below is larger, so only a leaf is a witness
+                stack.append([size, sub, v, None])
+            elif size > best:
+                best, witness = size, {v}.union(f[2] for f in stack[1:])
+                if best >= target:
+                    break
+        return best
+
+    # The chosen vertices and the witness members not yet scanned form a
+    # maximum clique.
+    pmask = (1 << g.n) - 1
+    best = search(pmask, 0, g.n)
+    chosen: list[int] = []
+    while True:
+        v = (pmask & -pmask).bit_length() - 1
+        pmask ^= 1 << v
+        need = best - len(chosen) - 1
+        if v not in witness and need:
+            sub = pmask & bits[v]
+            if sub.bit_count() < need or search(sub, need - 1, need) < need:
+                continue
+        chosen.append(v)
+        if not need:
+            return tuple(chosen)
+        pmask &= bits[v]
 
 
 def enumerate_maximal_cliques(g: Graph,

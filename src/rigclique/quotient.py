@@ -122,32 +122,34 @@ def max_weight_quotient_clique(q: QuotientGraph,
                                clique: Iterable[int] = ()) -> tuple[int, ...]:
     """Maximum-weight clique of the quotient, as sorted class indices.
 
-    Branch and bound over bitmask rows, on explicit stacks. The upper bound
-    is greedy colouring with weight splitting: peel one greedy independent
-    set in ascending node order, charge it the smallest residual weight
-    among its members, and bound each node by the running total at the
-    step its residual weight reaches zero. A clique meets each peeled set
-    at most once, so it weighs no more than the bound of its last node to
-    run out.
+    Branch and bound over bitmask rows, on an explicit stack. The upper
+    bound is greedy colouring with weight splitting: peel one greedy
+    independent set in ascending node order, charge it the smallest residual
+    weight among its members, and bound each node by the running total at
+    the step its residual weight reaches zero. A clique meets each peeled
+    set at most once, so it weighs no more than the bound of its last node
+    to run out. The search branches from the highest bound down, and among
+    equal bounds from the lowest node, so its first clique of a given
+    weight tends to be the lexicographically smallest one.
 
-    Phase one finds the best weight, branching from the highest bound down.
     It runs on the classes renumbered by degree, highest first, the initial
     order of Tomita and Seki's MCQ: high-degree classes colour first, so
-    the bounds are tight where the search branches. Phase two, in class
-    index order (classes by smallest member), extends in ascending index
-    until the first clique of exactly that weight, so ties go to the
-    lexicographically smallest index tuple. Weights are positive, so a
-    child whose colouring peels only singletons, its bound equal to its
-    total weight, is a clique: when that total completes the best weight,
-    phase two returns the child's candidates at once, the tuple ascending
-    extension would reach. Each node of either phase costs one unit of
-    node_budget; running out raises SearchBudgetExceeded. The budget is the
-    search's only limit, whatever the number of classes.
+    the bounds are tight where the search branches. One search finds the
+    best weight and a witness clique of it. A scan then walks the classes
+    in index order (classes by smallest member), keeping each that extends
+    the classes kept so far to a clique of the best weight: a witness
+    member at once, any other class only when a search of its remaining
+    neighbours finds the rest, which becomes the witness. So ties go to the
+    lexicographically smallest index tuple. A search stops at its first
+    clique that reaches its target: the total weight for the first, the
+    best weight for the scan's. Each node coloured costs one unit of
+    node_budget; running out raises SearchBudgetExceeded. The budget is
+    the search's only limit, whatever the number of classes.
 
-    clique, a known clique of class indices, is the incumbent: phase one
-    starts from its weight, so it only searches for heavier cliques, and
-    closes at the root when the root's bound is no higher. The answer is
-    the same tuple with or without it. A clique that is not one raises
+    clique, a known clique of class indices, is the incumbent: the first
+    search starts from its weight, so it only searches for heavier cliques,
+    and closes at the root when the root's bound is no higher. The answer
+    is the same tuple with or without it. A clique that is not one raises
     ValueError, and an index out of range GraphError.
     """
     clique = set(clique)
@@ -156,20 +158,23 @@ def max_weight_quotient_clique(q: QuotientGraph,
     if q.k == 0:
         return ()
     budget = node_budget
+    perm = sorted(range(q.k), key=lambda c: -q.graph.degree(c))
+    rows = _renumbered_rows(q.graph.bits, perm)
+    weights = tuple(q.weights[c] for c in perm)
+    others = [~(row | (1 << v)) for v, row in enumerate(rows)]
 
-    def node(pmask: int, others: list[int], weights: tuple[int, ...]
-             ) -> tuple[list[int], list[int]]:
+    def colour(pmask: int) -> list[tuple[int, int]]:
         # Charge one node, then colour pmask with weight splitting; returns
-        # the nodes in the order their residual weight runs out, beside
-        # their (nondecreasing) bounds. others[v] clears v and its
-        # neighbours: what stays independent of v.
+        # (node, bound) pairs in the order the nodes' residual weight runs
+        # out, bounds nondecreasing. Each peeled set's run-outs go in
+        # reverse, so the lowest node of equal bounds is branched on first.
+        # others[v] clears v and its neighbours: what stays independent of v.
         nonlocal budget
         budget -= 1
         if budget < 0:
             raise SearchBudgetExceeded(
                 f"quotient search exceeded node budget {node_budget}")
-        order: list[int] = []
-        bounds: list[int] = []
+        out: list[tuple[int, int]] = []
         residual: dict[int, int] = {}
         total = 0
         rest = pmask
@@ -182,72 +187,67 @@ def max_weight_quotient_clique(q: QuotientGraph,
                 peeled.append(v)
             charge = min(residual.get(v, weights[v]) for v in peeled)
             total += charge
-            for v in peeled:
+            for v in reversed(peeled):
                 left = residual.get(v, weights[v]) - charge
                 if left:
                     residual[v] = left
                 else:
-                    order.append(v)
-                    bounds.append(total)
+                    out.append((v, total))
                     rest ^= 1 << v
-        return order, bounds
+        return out
 
-    full = (1 << q.k) - 1
-    perm = sorted(range(q.k), key=lambda c: -q.graph.degree(c))
-    rows = _renumbered_rows(q.graph.bits, perm)
-    weights = tuple(q.weights[c] for c in perm)
-    others = [~(row | (1 << v)) for v, row in enumerate(rows)]
-    best = sum(q.weights[c] for c in clique)
-    # frame: [weight so far, candidates, order, bounds, next index from the end]
-    order, bounds = node(full, others, weights)
-    stack = [[0, full, order, bounds, len(order)]]
-    while stack:
-        frame = stack[-1]
-        weight, pmask, order, bounds, i = frame
-        i -= 1
-        if i < 0 or weight + bounds[i] <= best:
-            stack.pop()  # every node left has a bound no higher
-            continue
-        v = order[i]
-        frame[1] = pmask ^ (1 << v)
-        frame[4] = i
-        weight += weights[v]
-        best = max(best, weight)
-        sub = pmask & rows[v]
-        if sub:
-            order, bounds = node(sub, others, weights)
-            stack.append([weight, sub, order, bounds, len(order)])
+    witness = {v for v, c in enumerate(perm) if c in clique}  # until a search beats it
 
-    weights = q.weights
-    rows = q.graph.bits
-    others = [~(row | (1 << v)) for v, row in enumerate(rows)]
-    # frame: [weight so far, candidates above the last class taken, their weight]
-    prefix: list[int] = []
-    stack = [[0, full, sum(weights)]]
-    while True:
-        frame = stack[-1]
-        weight, pmask, left = frame
-        if weight + left < best:
-            stack.pop()
-            prefix.pop()  # some clique weighs best, so the root is never popped
+    def search(pmask: int, best: int, target: int) -> int:
+        # The weight of the heaviest clique in pmask, or of the first found
+        # that weighs target or more, if it weighs more than best; else
+        # best. Each clique found that weighs more becomes the witness.
+        nonlocal witness
+        # frame: [weight so far, candidates left, the node whose branch
+        #         made it, the (node, bound) pairs not yet branched on, None
+        #         until the frame is first visited]
+        stack = [[0, pmask, -1, None]]
+        while stack:
+            frame = stack[-1]
+            weight, pmask, _, coloured = frame
+            if coloured is None:
+                coloured = frame[3] = colour(pmask)
+            if not coloured or weight + coloured[-1][1] <= best:
+                stack.pop()  # every node left has a bound no higher
+                continue
+            v = coloured.pop()[0]
+            frame[1] = pmask ^ (1 << v)
+            weight += weights[v]
+            sub = pmask & rows[v]
+            if sub and weight < target:
+                # every clique below weighs more, so only a leaf is a witness
+                stack.append([weight, sub, v, None])
+            elif weight > best:
+                best, witness = weight, {v}.union(f[2] for f in stack[1:])
+                if best >= target:
+                    break
+        return best
+
+    pmask = (1 << q.k) - 1
+    # The chosen classes and the witness members not yet scanned form a
+    # clique of the best weight; missing is what the chosen ones lack of it.
+    missing = search(pmask, sum(q.weights[c] for c in clique), sum(weights))
+    chosen: list[int] = []
+    for v in sorted(range(q.k), key=perm.__getitem__):  # in class index order
+        if not pmask >> v & 1:
             continue
-        low = pmask & -pmask
-        v = low.bit_length() - 1
-        frame[1] = pmask ^ low
-        frame[2] = left - weights[v]
-        weight += weights[v]
-        if weight == best:
-            prefix.append(v)
-            return tuple(prefix)
-        sub = frame[1] & rows[v]
-        if sub:
-            order, bounds = node(sub, others, weights)
-            if weight + bounds[-1] >= best:
-                prefix.append(v)
-                total = sum(weights[c] for c in order)
-                if bounds[-1] == total:  # sub is a clique, and no clique beats best
-                    return tuple(prefix + sorted(order))
-                stack.append([weight, sub, total])
+        pmask ^= 1 << v
+        need = missing - weights[v]
+        if v not in witness and need:
+            sub = pmask & rows[v]
+            if not sub or search(sub, need - 1, need) < need:
+                continue
+        chosen.append(perm[v])
+        if not need:
+            break
+        missing = need
+        pmask &= rows[v]
+    return tuple(chosen)
 
 
 def find_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
@@ -262,9 +262,9 @@ def find_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
 
     clique, a known clique of g such as a label's member set, warm-starts
     the search: the classes it meets form a clique of the quotient, whose
-    weight is phase one's starting best. The answer is the same tuple with
-    or without it. A clique that is not one raises ValueError, and a vertex
-    out of range GraphError.
+    weight is the first search's starting best. The answer is the same
+    tuple with or without it. A clique that is not one raises ValueError,
+    and a vertex out of range GraphError.
     """
     clique = set(clique)
     if not is_clique(g, clique):

@@ -32,6 +32,10 @@ def checkout_env(**overrides):
     return {**os.environ, "PYTHONPATH": pythonpath, **overrides}
 
 
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    return (g.bits[u] >> v) & 1 == 1
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return build_graph(n, edges)
@@ -78,7 +82,7 @@ def two_triangles() -> Graph:
 
 def mask_is_clique(g: Graph, mask: int) -> bool:
     vs = [v for v in range(g.n) if (mask >> v) & 1]
-    return all(g.has_edge(u, v) for u, v in combinations(vs, 2))
+    return all(has_edge(g, u, v) for u, v in combinations(vs, 2))
 
 
 def subset_max_clique(g: Graph) -> tuple[int, ...]:
@@ -103,20 +107,22 @@ def random_quotient(rng: random.Random, k: int, p: float, max_weight: int) -> Qu
                          build_graph(k, edges))
 
 
-def subset_max_weight_clique(q: QuotientGraph) -> tuple[int, ...]:
-    """Lexicographically smallest maximum-weight clique of a weighted
-    quotient, by checking every subset of its nodes. Only sensible for
-    k <= ~14."""
+def subset_max_weight_cliques(q: QuotientGraph) -> list[tuple[int, ...]]:
+    """Every maximum-weight clique of a weighted quotient, in lexicographic
+    order, by checking every subset of its nodes; [()] when k = 0. Only
+    sensible for k <= ~14."""
     joined = set(q.edges)
-    best_weight, best = 0, ()
+    best_weight, best = 0, [()]
     for mask in range(1, 1 << q.k):
         nodes = tuple(c for c in range(q.k) if (mask >> c) & 1)
         if not all(pair in joined for pair in combinations(nodes, 2)):
             continue
         weight = sum(q.weights[c] for c in nodes)
-        if weight > best_weight or (weight == best_weight and nodes < best):
-            best_weight, best = weight, nodes
-    return best
+        if weight > best_weight:
+            best_weight, best = weight, [nodes]
+        elif weight == best_weight:
+            best.append(nodes)
+    return sorted(best)
 
 
 def all_maximal_cliques(g: Graph) -> set[tuple[int, ...]]:
@@ -127,7 +133,7 @@ def all_maximal_cliques(g: Graph) -> set[tuple[int, ...]]:
         if not mask_is_clique(g, mask):
             continue
         vs = [v for v in range(g.n) if (mask >> v) & 1]
-        extendable = any(all(g.has_edge(w, v) for v in vs)
+        extendable = any(all(has_edge(g, w, v) for v in vs)
                          for w in range(g.n) if not (mask >> w) & 1)
         if not extendable:
             out.add(tuple(vs))
@@ -160,8 +166,8 @@ def brute_chordal(g: Graph) -> bool:
     while alive:
         simplicial = None
         for v in alive:
-            nb = [w for w in alive if g.has_edge(v, w)]
-            if all(g.has_edge(a, b) for a, b in combinations(nb, 2)):
+            nb = [w for w in alive if has_edge(g, v, w)]
+            if all(has_edge(g, a, b) for a, b in combinations(nb, 2)):
                 simplicial = v
                 break
         if simplicial is None:
@@ -175,7 +181,7 @@ def has_chordless_cycle(g: Graph) -> bool:
     Only sensible for n <= ~12."""
     for size in range(4, g.n + 1):
         for vs in combinations(range(g.n), size):
-            deg = {v: sum(1 for w in vs if w != v and g.has_edge(v, w)) for v in vs}
+            deg = {v: sum(1 for w in vs if w != v and has_edge(g, v, w)) for v in vs}
             if any(d != 2 for d in deg.values()):
                 continue
             # degrees all 2: a disjoint union of cycles; connectivity makes it one
@@ -184,7 +190,7 @@ def has_chordless_cycle(g: Graph) -> bool:
             while frontier:
                 v = frontier.pop()
                 for w in vs:
-                    if w not in seen and g.has_edge(v, w):
+                    if w not in seen and has_edge(g, v, w):
                         seen.add(w)
                         frontier.append(w)
             if len(seen) == size:
@@ -193,7 +199,7 @@ def has_chordless_cycle(g: Graph) -> bool:
 
 
 def closed_neighborhood(g: Graph, v: int) -> frozenset[int]:
-    return frozenset(w for w in range(g.n) if g.has_edge(v, w)) | {v}
+    return frozenset(w for w in range(g.n) if has_edge(g, v, w)) | {v}
 
 
 def pairwise_partition(g: Graph) -> Partition:
@@ -249,12 +255,12 @@ def check_quotient(g: Graph, partition: Partition, q: QuotientGraph) -> None:
     joined = set(q.edges)
     for cls in classes:
         for u, v in combinations(cls, 2):
-            assert g.has_edge(u, v), f"class {cls} is not a clique: missing edge ({u}, {v})"
+            assert has_edge(g, u, v), f"class {cls} is not a clique: missing edge ({u}, {v})"
     for a, b in combinations(range(len(classes)), 2):
         expect = (a, b) in joined
         for u in classes[a]:
             for v in classes[b]:
-                assert g.has_edge(u, v) == expect, \
+                assert has_edge(g, u, v) == expect, \
                     f"cross pair ({u}, {v}) contradicts quotient edge ({a}, {b})={expect}"
 
 

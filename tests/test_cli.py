@@ -205,7 +205,11 @@ class TestExperiment:
                        "--p", "0.3", "--trials", "2", "--seed", "0",
                        "--budget", "1", cwd=tmp_path)
         assert proc.returncode == 0
-        assert "# summary,errors,2" in proc.stdout.splitlines()
+        # trial 0 needs more than the root and errors; in trial 1 the largest
+        # label is the answer, so its search closes at the root
+        lines = proc.stdout.splitlines()
+        assert lines[1:3] == ["0,error,,,,,", "1,ok,12,12,1,1,1.33333"]
+        assert "# summary,errors,1" in lines
 
     def test_single_label_with_one_large_label(self, tmp_path):
         # every vertex has the one label: a single quotient class of 1,100

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from rigclique import (CYCLE_FOUND, CYCLE_NONE, CYCLE_UNKNOWN, LabeledCycle,
+from rigclique import (CYCLE_FOUND, CYCLE_NONE, CYCLE_UNKNOWN, Graph, LabeledCycle,
                        SearchBudgetExceeded, build_graph, build_labels,
                        check_labeled_cycle, enumerate_maximal_cliques,
                        exact_max_clique, find_distinct_label_cycle, induced_graph,
@@ -55,6 +55,7 @@ class TestExactMaxClique:
 
     def test_empty_and_edgeless(self):
         assert exact_max_clique(build_graph(0, [])) == ()
+        assert exact_max_clique(Graph(0, ()), node_budget=0) == ()  # no node to charge
         assert exact_max_clique(build_graph(3, [])) == (0,)
 
     def test_matches_subset_enumeration(self):
@@ -74,9 +75,9 @@ class TestExactMaxClique:
         assert exact_max_clique(g) == exact_max_clique(g)
 
     @pytest.mark.parametrize("n, m, p, omega, nodes", [
-        (400, 10, 0.2, 91, 272),  # ladder rung L1: 263 nodes in phase one, 9 in phase two
-        (400, 6, 0.3, 126, 133),  # a single-label-dense trial: 126 + 7
-        (2000, 10, 0.2, 435, 439),  # ladder rung L2: 435 + 4
+        (400, 10, 0.2, 91, 91),  # ladder rung L1: one dive; the scan takes it whole
+        (400, 6, 0.3, 126, 128),  # a single-label-dense trial
+        (2000, 10, 0.2, 435, 436),  # ladder rung L2
     ], ids=["L1", "single-label-dense", "L2"])
     def test_exact_node_count(self, n, m, p, omega, nodes):
         g = induced_graph(sample_label_representation(
@@ -87,18 +88,30 @@ class TestExactMaxClique:
 
 
     @pytest.mark.parametrize("graph, nodes", [
-        # phase two: the root, then 0, whose candidates 1..7 are a clique;
-        # extending one vertex at a time took 8 + 9
-        (complete_graph(8), 10),
-        # parts {0,1,2} and {3,4,5}, then 6, 7, 8: after 0 and 3 the
-        # candidates 6, 7, 8 are a clique, 5 + 3 where it took 5 + 6
-        (complete_multipartite([3, 3, 1, 1, 1]), 8),
-        (corona(6), 14),  # 6 + 8, where it took 6 + 13
+        # one dive from the root to size 8
+        (complete_graph(8), 8),
+        # parts {0,1,2} and {3,4,5}, then 6, 7, 8: one dive from the root
+        (complete_multipartite([3, 3, 1, 1, 1]), 5),
+        # a dive through the K6 6..11; each pendant 0..5 has one neighbour
+        # left, too few to complete a clique of 6, so the scan searches none
+        (corona(6), 6),
     ], ids=["K8", "K3,3,1,1,1", "corona-K6"])
     def test_phase_two_stops_at_a_clique(self, graph, nodes):
         assert exact_max_clique(graph, node_budget=nodes) == subset_max_clique(graph)
         with pytest.raises(SearchBudgetExceeded, match=f"node budget {nodes - 1}"):
             exact_max_clique(graph, node_budget=nodes - 1)
+
+    def test_cocktail_party(self):
+        # K_{2x300}: each vertex misses only its partner v ^ 1; the smallest
+        # maximum clique takes the even member of each pair. Each color is
+        # peeled from the highest id down, so the lowest id of a color is
+        # tried first and one dive finds that tuple: 300 nodes. Trying the
+        # highest first finds the odd members, and the scan then searches
+        # again for each pair, far beyond this budget.
+        n = 600
+        full = (1 << n) - 1
+        g = Graph(n, tuple(full ^ (1 << v) ^ (1 << (v ^ 1)) for v in range(n)))
+        assert exact_max_clique(g, node_budget=300) == tuple(range(0, n, 2))
 
     def test_dense_graphs_match_brute_force(self):
         # dense graphs leave clique candidates often, so the early stop fires

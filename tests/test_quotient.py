@@ -21,7 +21,7 @@ from helpers import (check_quotient, class_of, closed_neighborhood, complete_gra
                      complete_multipartite, corona, exact_intersection_number,
                      label_members, pairwise_partition, quotient_rows_loop,
                      random_graph, random_quotient, subset_max_clique,
-                     subset_max_weight_clique, two_triangles)
+                     subset_max_weight_cliques, two_triangles)
 
 
 class TestPartition:
@@ -161,7 +161,10 @@ class TestMaxWeightQuotientClique:
         assert max_weight_quotient_clique(q) == (0, 3)
 
     def test_empty_quotient(self):
-        assert max_weight_quotient_clique(QuotientGraph((), build_graph(0, []))) == ()
+        # no class, no node: even a zero budget is enough
+        q = QuotientGraph((), build_graph(0, []))
+        assert max_weight_quotient_clique(q) == ()
+        assert max_weight_quotient_clique(q, node_budget=0) == ()
 
     def test_budget_refusal(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -190,7 +193,10 @@ class TestMaxWeightQuotientClique:
             # few distinct weights, so maximum-weight ties are common
             q = random_quotient(rng, rng.randint(1, 12), rng.choice([0.2, 0.5, 0.8]),
                                 rng.choice([1, 2, 4]))
-            assert max_weight_quotient_clique(q) == subset_max_weight_clique(q)
+            winners = subset_max_weight_cliques(q)
+            assert max_weight_quotient_clique(q) == winners[0]
+            # the largest tie as incumbent: the first witness is not the answer
+            assert max_weight_quotient_clique(q, clique=winners[-1]) == winners[0]
 
     @pytest.mark.parametrize("block_cells", [64, 1 << 24])
     def test_renumbered_rows_permute_the_graph(self, monkeypatch, block_cells):
@@ -207,13 +213,17 @@ class TestMaxWeightQuotientClique:
     def test_deep_quotient_cocktail_party(self):
         # K_{2x1050}: every vertex misses only its partner v ^ 1, so each is its
         # own class and the maximum clique takes one vertex of all 1,050 pairs;
-        # the smallest such tuple takes the even member of each
+        # the smallest such tuple takes the even member of each. The search
+        # tries the lowest of equal bounds first, so its one dive finds that
+        # tuple and the scan takes it whole: 1,050 nodes. Trying the highest
+        # first finds the odd members, and the scan then searches again for
+        # each pair, far beyond this budget.
         n = 2100
         full = (1 << n) - 1
         g = Graph(n, tuple(full ^ (1 << v) ^ (1 << (v ^ 1)) for v in range(n)))
         q = quotient_graph(g, closed_neighborhood_partition(g))
         assert q.k == n
-        chosen = max_weight_quotient_clique(q)
+        chosen = max_weight_quotient_clique(q, node_budget=1050)
         assert len(chosen) == 1050
         assert chosen == tuple(range(0, n, 2))
 
@@ -230,6 +240,7 @@ class TestFindMaxClique:
 
     def test_no_vertices_gives_empty(self):
         assert find_max_clique(build_graph(0, [])) == ()
+        assert find_max_clique(Graph(0, ()), node_budget=0) == ()
 
     def test_no_class_cap(self):
         # a path has as many classes as vertices; only the node budget limits
@@ -252,7 +263,7 @@ class TestFindMaxClique:
             assert rebuilt == list(clique)
 
     def test_solves_l1_within_fixed_node_budget(self):
-        # ladder rung L1; both search phases together take 62 nodes (54 + 8)
+        # ladder rung L1; the search takes 54 nodes
         rep = sample_label_representation(resolve_params(n=400, m=10, p=0.2), seed=1, trial=0)
         g = induced_graph(rep)
         clique = find_max_clique(g, node_budget=250)
@@ -260,8 +271,8 @@ class TestFindMaxClique:
         assert len(clique) == len(exact_max_clique(g))
 
     @pytest.mark.parametrize("n, m, p, nodes", [
-        (400, 10, 0.2, 62),  # ladder rung L1: 54 nodes in phase one, 8 in phase two
-        (400, 6, 0.3, 31),  # a single-label-dense trial: 25 + 6
+        (400, 10, 0.2, 54),  # ladder rung L1: the scan takes the first witness whole
+        (400, 6, 0.3, 53),  # a single-label-dense trial
     ], ids=["L1", "single-label-dense"])
     def test_exact_node_count(self, n, m, p, nodes):
         g = induced_graph(sample_label_representation(resolve_params(n=n, m=m, p=p),
@@ -272,12 +283,14 @@ class TestFindMaxClique:
 
     @pytest.mark.parametrize("graph, nodes", [
         (complete_graph(8), 1),  # one class: the root is the whole search
-        # parts {0,1,2} and {3,4,5}; 6, 7, 8 are universal, so one class
-        (complete_multipartite([3, 3, 1, 1, 1]), 5),
-        # phase two tries the pendants 0..5, then takes 6, whose candidates
-        # 7..11 are a clique: 6 + 7 nodes, where extending one class at a
-        # time took 6 + 11
-        (corona(6), 13),
+        # parts {0,1,2} and {3,4,5}; 6, 7, 8 are universal, so one class.
+        # The search dives through classes 3, 0 and the universal class to
+        # weight 5, and the scan takes that witness whole: 3 nodes
+        (complete_multipartite([3, 3, 1, 1, 1]), 3),
+        # the search takes 6 nodes: the root, then a dive through the K6
+        # classes 6..11; the scan then searches once from each pendant 0..5,
+        # one node each, before it takes the witness
+        (corona(6), 12),
     ], ids=["K8", "K3,3,1,1,1", "corona-K6"])
     def test_phase_two_stops_at_a_clique(self, graph, nodes):
         assert find_max_clique(graph, node_budget=nodes) == exact_max_clique(graph)
@@ -338,8 +351,8 @@ class TestIncumbent:
         assert max_weight_quotient_clique(q, clique=(1,)) == (0,)
 
     @pytest.mark.parametrize("n, m, p, nodes", [
-        (400, 10, 0.2, 9),  # ladder rung L1: 1 node in phase one, 8 in phase two
-        (400, 6, 0.3, 7),  # a single-label-dense trial: 1 + 6
+        (400, 10, 0.2, 1),  # ladder rung L1: the root; the scan takes the label whole
+        (400, 6, 0.3, 28),  # a single-label-dense trial: the root, then 27 in scan searches
     ], ids=["L1", "single-label-dense"])
     def test_largest_label_closes_phase_one_at_the_root(self, n, m, p, nodes):
         rep = sample_label_representation(resolve_params(n=n, m=m, p=p), seed=1, trial=0)
