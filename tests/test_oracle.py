@@ -76,7 +76,7 @@ class TestExactMaxClique:
 
     @pytest.mark.parametrize("n, m, p, omega, nodes", [
         (400, 10, 0.2, 91, 91),  # ladder rung L1: one dive; the scan takes it whole
-        (400, 6, 0.3, 126, 128),  # a single-label-dense trial
+        (400, 6, 0.3, 126, 128),  # a single-label-dense trial: 127 nodes, then 1 in the scan
         (2000, 10, 0.2, 435, 436),  # ladder rung L2
     ], ids=["L1", "single-label-dense", "L2"])
     def test_exact_node_count(self, n, m, p, omega, nodes):

@@ -272,7 +272,7 @@ class TestFindMaxClique:
 
     @pytest.mark.parametrize("n, m, p, nodes", [
         (400, 10, 0.2, 54),  # ladder rung L1: the scan takes the first witness whole
-        (400, 6, 0.3, 53),  # a single-label-dense trial
+        (400, 6, 0.3, 53),  # a single-label-dense trial: 26 nodes, then 27 in the scan
     ], ids=["L1", "single-label-dense"])
     def test_exact_node_count(self, n, m, p, nodes):
         g = induced_graph(sample_label_representation(resolve_params(n=n, m=m, p=p),
