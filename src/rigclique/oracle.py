@@ -38,11 +38,10 @@ def exact_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[
     remaining neighbours finds the rest, which becomes the witness. A search
     stops at its first clique that reaches its target: all n vertices for
     the first, a maximum clique for the scan's. Searches run on explicit
-    stacks, so depth is not limited by Python's recursion
-    limit, and share one node budget, charged once per node colored;
-    exceeding it raises SearchBudgetExceeded. There is no incumbent: the
-    search stays a reference independent of the labels and of the quotient
-    solver.
+    stacks, so depth is not limited by Python's recursion limit, and share
+    one node budget, charged once per node colored; exceeding it raises
+    SearchBudgetExceeded. There is no incumbent: the search stays a
+    reference independent of the labels and of the quotient solver.
     """
     if g.n == 0:
         return ()
