@@ -39,6 +39,14 @@ def _add_model_flags(sp: argparse.ArgumentParser, with_n: bool = True) -> None:
     prob.add_argument("--mp2", type=float, help="m*p**2 product: p = sqrt(mp2/m)")
 
 
+def _at_least(args: argparse.Namespace, flag: str, low: int) -> int | None:
+    """The value of --flag, unless it was given and is below low."""
+    value = getattr(args, flag)
+    if value is not None and value < low:
+        raise UsageError(f"--{flag} must be >= {low}, got {value}")
+    return value
+
+
 def _params(args: argparse.Namespace, n: int) -> RigParams:
     return resolve_params(n=n, m=args.m, p=args.p, alpha=args.alpha, mp2=args.mp2)
 
@@ -69,14 +77,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    budget = _at_least(args, "budget", 0)
     g = decode_graph(_read(args.graph))
-    _print_clique(find_max_clique(g, node_budget=args.budget))
+    _print_clique(find_max_clique(g, node_budget=budget))
     return 0
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    budget = _at_least(args, "budget", 0)
     g = decode_graph(_read(args.graph))
-    _print_clique(exact_max_clique(g, node_budget=args.budget))
+    _print_clique(exact_max_clique(g, node_budget=budget))
     return 0
 
 
@@ -123,13 +133,16 @@ def _progress(total: int) -> Callable[[int], None] | None:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    trials = _at_least(args, "trials", 1)
+    jobs = _at_least(args, "jobs", 1)
+    budget = _at_least(args, "budget", 0)
     params = _params(args, args.n)
     budgets = {}
-    if args.budget is not None:
-        budgets = {"node_budget": args.budget, "cycle_budget": args.budget}
-    cfg = ExperimentConfig(kind=args.kind, params=params, trials=args.trials,
+    if budget is not None:
+        budgets = {"node_budget": budget, "cycle_budget": budget}
+    cfg = ExperimentConfig(kind=args.kind, params=params, trials=trials,
                            seed=args.seed, **budgets)
-    stats = run_experiment(cfg, jobs=args.jobs, progress=_progress(args.trials))
+    stats = run_experiment(cfg, jobs=jobs, progress=_progress(trials))
     if args.csv is None:
         sys.stdout.write(stats.to_csv())
     else:

@@ -7,6 +7,7 @@ the sorted edge list is derived from those rows on first use.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -88,7 +89,7 @@ def _pack_rows(widths: Sequence[int],
             width = max(width, widths[stop])
             stop += 1
         cells = fill(start, stop, width)
-        step = (cells.shape[1] + 7) // 8
+        step = max((cells.shape[1] + 7) // 8, 1)
         if cells.shape[1] != 8 * step:
             padded = np.zeros((stop - start, 8 * step), cells.dtype)
             padded[:, :cells.shape[1]] = cells
@@ -201,15 +202,47 @@ def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
     return True
 
 
-def _mcs_order(g: Graph) -> tuple[int, ...]:
-    """Maximum cardinality search visit order, deterministic.
+def _subgraph_rows(g: Graph, vertices: Sequence[int]) -> list[int]:
+    """Rows of g restricted to vertices, an ascending list of vertex ids,
+    and renumbered in its order: bit j of row i is set iff vertices[i] and
+    vertices[j] are adjacent.
+
+    Blocks of the nonzero rows are unpacked to bits, the kept columns taken
+    and the result packed again; each block is as wide as its rows'
+    bit_length(), never n.
+    """
+    keep = np.array(vertices, dtype=np.intp)
+    rows = [g.bits[v] for v in vertices]
+    nonzero = [i for i, row in enumerate(rows) if row]
+
+    def fill(start: int, stop: int, width: int) -> np.ndarray:
+        cells = _unpack_rows([rows[i] for i in nonzero[start:stop]], width)
+        return cells.take(keep[:np.searchsorted(keep, width)], axis=1)
+
+    out = [0] * len(rows)
+    for i, row in zip(nonzero, _pack_rows([rows[i].bit_length() for i in nonzero], fill)):
+        out[i] = row
+    return out
+
+
+def _perfect_mcs_order(rows: Sequence[int]) -> list[int] | None:
+    """Maximum cardinality search visit order over the graph with the given
+    bitmask rows, or None when its reverse is not a perfect elimination
+    ordering.
 
     Each step visits an unvisited vertex adjacent to the most visited ones,
     smallest id on ties. buckets[k] masks the unvisited vertices adjacent to
     exactly k visited ones; top never falls below the highest such k.
+
+    The reverse is perfect when the neighbours of each vertex visited before
+    it form a clique. It suffices that all of them are adjacent to the one
+    visited last, parent[v] (Tarjan and Yannakakis' follower), so each
+    vertex is checked as it is visited and the search stops at the first
+    that fails.
     """
-    n = g.n
+    n = len(rows)
     weight = [0] * n
+    parent = [0] * n  # the neighbour visited last so far
     buckets = [(1 << n) - 1] + [0] * n
     unvisited = (1 << n) - 1
     top = 0
@@ -221,36 +254,19 @@ def _mcs_order(g: Graph) -> tuple[int, ...]:
         buckets[top] ^= low
         unvisited ^= low
         v = low.bit_length() - 1
+        if top > 1:  # v has two or more visited neighbours
+            p = parent[v]
+            if rows[v] & ~unvisited & ~(rows[p] | 1 << p):
+                return None
         out.append(v)
-        for w in _members(g.bits[v] & unvisited):
+        for w in _members(rows[v] & unvisited):
             k = weight[w]
             weight[w] = k + 1
+            parent[w] = v
             buckets[k] ^= 1 << w
             buckets[k + 1] |= 1 << w
         top += 1
-    return tuple(out)
-
-
-def _is_elimination_order(g: Graph, elim: tuple[int, ...]) -> bool:
-    """Check elim is perfect: the vertices adjacent to and after each vertex
-    form a clique.
-
-    Uses the parent shortcut: it suffices that all of them but the first are
-    adjacent to that first one.
-    """
-    pos = [0] * g.n
-    for i, v in enumerate(elim):
-        pos[v] = i
-    remaining = (1 << g.n) - 1
-    for v in elim:
-        remaining ^= 1 << v
-        later = g.bits[v] & remaining
-        if later & (later - 1) == 0:
-            continue  # at most one later neighbor
-        parent = min(_members(later), key=pos.__getitem__)
-        if later & ~(g.bits[parent] | 1 << parent):
-            return False
-    return True
+    return out
 
 
 def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
@@ -260,10 +276,33 @@ def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
     Returns (True, order) where order is a perfect elimination ordering
     (order[0] is simplicial, and each vertex is simplicial among the vertices
     after it), or (False, None). The reversed MCS visit order is perfect
-    exactly when g is chordal; the verification step checks the candidate
-    ordering directly instead of trusting the search.
+    exactly when g is chordal; the search checks that ordering directly as
+    it goes instead of trusting it.
+
+    Isolated vertices neither change the answer nor constrain the ordering,
+    so the search and the check run on the rows of the other vertices
+    only, renumbered in ascending order. The isolated vertices are then
+    spliced into the visit order where MCS over all of g visits them: each
+    just before the first component start above it, or at the end, a
+    component start being a vertex that no earlier-visited vertex sees.
+    Whenever no visited vertex sees an unvisited one, MCS takes the
+    smallest unvisited vertex, so the order is the whole-graph one.
     """
-    elim = tuple(reversed(_mcs_order(g)))
-    if _is_elimination_order(g, elim):
-        return True, elim
-    return False, None
+    active = [v for v, row in enumerate(g.bits) if row]
+    rows = _subgraph_rows(g, active)
+    visit = _perfect_mcs_order(rows)
+    if visit is None:
+        return False, None
+    isolated = [v for v, row in enumerate(g.bits) if not row]
+    order: list[int] = []
+    j = 0
+    seen = 0
+    for i in visit:
+        if not rows[i] & seen:  # a component start
+            k = bisect_left(isolated, active[i], j)
+            order.extend(isolated[j:k])
+            j = k
+        order.append(active[i])
+        seen |= 1 << i
+    order.extend(isolated[j:])
+    return True, tuple(reversed(order))

@@ -211,35 +211,39 @@ def find_distinct_label_cycle(rep: LabelRepresentation,
     enumerates simple paths inside the core, rooted at each node that is the
     minimum of its cycle. Every neighbor step costs one unit of step_budget;
     exhausting it returns ("unknown", None), which is distinct from "none".
+
+    Vertex v is node v and label i node n + i. Only labelled vertices and
+    non-empty labels get a node: the others have no incidences, so they lie
+    on no cycle and in no neighbor list, and leaving them out changes no
+    step the DFS takes. Neighbor lists are ascending.
     """
-    n, m = rep.n, rep.m
-    total = n + m
-    adj: list[list[int]] = [[] for _ in range(total)]  # ascending, by construction
+    n = rep.n
+    adj: dict[int, list[int]] = {}
     for i, mask in enumerate(rep.masks):
-        for v in _members(mask):
-            adj[v].append(n + i)
-            adj[n + i].append(v)
+        if mask:
+            members = adj[n + i] = _members(mask)
+            for v in members:
+                adj.setdefault(v, []).append(n + i)
 
     # peel to the 2-core; a cycle survives peeling
-    degree = [len(ls) for ls in adj]
-    in_core = [True] * total
-    stack = [x for x in range(total) if degree[x] <= 1]
+    degree = {x: len(ls) for x, ls in adj.items()}
+    in_core = set(adj)
+    stack = [x for x, d in degree.items() if d <= 1]
     while stack:
         x = stack.pop()
-        if not in_core[x]:
+        if x not in in_core:
             continue
-        in_core[x] = False
+        in_core.discard(x)
         for y in adj[x]:
-            if in_core[y]:
+            if y in in_core:
                 degree[y] -= 1
                 if degree[y] <= 1:
                     stack.append(y)
-    core = [x for x in range(total) if in_core[x]]
-    if not core:
+    if not in_core:
         return CYCLE_NONE, None
 
     steps = step_budget
-    for start in core:
+    for start in sorted(in_core):
         path = [start]
         on_path = {start}
         iters = [iter(adj[start])]
@@ -249,7 +253,7 @@ def find_distinct_label_cycle(rep: LabelRepresentation,
                 steps -= 1
                 if steps < 0:
                     return CYCLE_UNKNOWN, None
-                if w < start or not in_core[w]:
+                if w < start or w not in in_core:
                     continue
                 if w == start and len(path) >= 6:
                     return CYCLE_FOUND, _as_labeled_cycle(path, n)

@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Graph, _pack_rows, _unpack_rows, is_clique
+from .graph import Graph, _pack_rows, _subgraph_rows, _unpack_rows, is_clique
 from .oracle import DEFAULT_NODE_BUDGET, SearchBudgetExceeded
 
 # Unused by the package: the search is bounded by its node budget alone, and
@@ -82,23 +82,11 @@ def quotient_graph(g: Graph, partition: Partition) -> QuotientGraph:
     Cross-class adjacency is read off one representative per class, which is
     sound because cross edges are all-or-nothing: the row of class a has bit
     b set iff the representatives of a and b are adjacent in g. Classes are
-    in representative order, so that row is the representative's row of g
-    with only the representative columns kept. Blocks of rows are unpacked
-    to bits, those columns taken and the result packed again; each block is
-    as wide as its rows' bit_length(), never n.
+    in representative order, so the quotient rows are the rows of g
+    restricted to the representatives.
     """
     classes = partition.classes
-    reps = np.array([cls[0] for cls in classes])
-    rep_rows = [g.bits[cls[0]] for cls in classes]
-    nonzero = [a for a, row in enumerate(rep_rows) if row]
-
-    def fill(start: int, stop: int, width: int) -> np.ndarray:
-        cells = _unpack_rows([rep_rows[a] for a in nonzero[start:stop]], width)
-        return cells.take(reps[:np.searchsorted(reps, width)], axis=1)
-
-    rows = [0] * len(classes)
-    for a, row in zip(nonzero, _pack_rows([rep_rows[a].bit_length() for a in nonzero], fill)):
-        rows[a] = row
+    rows = _subgraph_rows(g, [cls[0] for cls in classes])
     return QuotientGraph(tuple(len(cls) for cls in classes), Graph(len(classes), tuple(rows)))
 
 

@@ -92,8 +92,11 @@ def sample_membership(params: RigParams, seed: int, trial: int = 0) -> np.ndarra
 def sample_label_representation(params: RigParams, seed: int,
                                 trial: int = 0) -> LabelRepresentation:
     """Sample one label representation from the trial's stream: column i
-    of the membership matrix, packed little-endian, is the mask of label i."""
-    columns = np.packbits(sample_membership(params, seed, trial).T, axis=1, bitorder="little")
+    of the membership matrix, packed little-endian, is the mask of label i.
+    The columns are copied to contiguous rows first, which numpy packs far
+    faster than the transposed view."""
+    columns = np.packbits(np.ascontiguousarray(sample_membership(params, seed, trial).T),
+                          axis=1, bitorder="little")
     return LabelRepresentation(params.n, params.m,
                                tuple(int.from_bytes(row.tobytes(), "little") for row in columns))
 

@@ -2,7 +2,10 @@
 the environment that child processes run the checkout in.
 
 The references are deliberately naive: subset enumeration, direct
-definitions, no shared code with the algorithms under test.
+definitions, no shared code with the algorithms under test. Two are the
+package's own earlier searches over the whole graph, kept as the
+references for their restricted forms: maximum cardinality search over
+every vertex, and the cycle search over every vertex and label node.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from pathlib import Path
 
 from rigclique import (Graph, LabelRepresentation, Partition, QuotientGraph, build_graph,
                        build_labels)
-from rigclique.oracle import enumerate_maximal_cliques
+from rigclique.oracle import (CYCLE_FOUND, CYCLE_NONE, CYCLE_UNKNOWN, LabeledCycle,
+                              enumerate_maximal_cliques)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -343,3 +347,128 @@ def _assign_labels(rep: LabelRepresentation, vs: tuple[int, ...]) -> bool:
         return False
 
     return go(0)
+
+
+def _set_bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def mcs_order(g: Graph) -> tuple[int, ...]:
+    """Maximum cardinality search over every vertex of g, isolated ones
+    included: each step visits an unvisited vertex adjacent to the most
+    visited ones, smallest id on ties. buckets[k] masks the unvisited
+    vertices adjacent to exactly k visited ones."""
+    n = g.n
+    weight = [0] * n
+    buckets = [(1 << n) - 1] + [0] * n
+    unvisited = (1 << n) - 1
+    top = 0
+    out: list[int] = []
+    for _ in range(n):
+        while not buckets[top]:
+            top -= 1
+        low = buckets[top] & -buckets[top]
+        buckets[top] ^= low
+        unvisited ^= low
+        v = low.bit_length() - 1
+        out.append(v)
+        for w in _set_bits(g.bits[v] & unvisited):
+            k = weight[w]
+            weight[w] = k + 1
+            buckets[k] ^= 1 << w
+            buckets[k + 1] |= 1 << w
+        top += 1
+    return tuple(out)
+
+
+def is_elimination_order(g: Graph, elim: tuple[int, ...]) -> bool:
+    """True iff the later neighbours of each vertex of elim are adjacent to
+    the first of them (the parent shortcut for a perfect ordering)."""
+    pos = [0] * g.n
+    for i, v in enumerate(elim):
+        pos[v] = i
+    remaining = (1 << g.n) - 1
+    for v in elim:
+        remaining ^= 1 << v
+        later = g.bits[v] & remaining
+        if later & (later - 1) == 0:
+            continue
+        parent = min(_set_bits(later), key=pos.__getitem__)
+        if later & ~(g.bits[parent] | 1 << parent):
+            return False
+    return True
+
+
+def whole_graph_is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
+    """is_chordal's contract by maximum cardinality search over all of g:
+    (True, reversed visit order) when that order is perfect, else
+    (False, None)."""
+    elim = tuple(reversed(mcs_order(g)))
+    if is_elimination_order(g, elim):
+        return True, elim
+    return False, None
+
+
+def list_label_cycle(rep: LabelRepresentation, step_budget: int = 1_000_000
+                     ) -> tuple[str, LabeledCycle | None]:
+    """find_distinct_label_cycle's contract over the whole incidence graph:
+    node v for every vertex and n + i for every label, with a neighbour
+    list each, peeled to its 2-core, then a DFS from each core node in
+    ascending order over paths of nodes above it, one step per neighbour
+    looked at. The same witness and the same "unknown" cut-off."""
+    n, total = rep.n, rep.n + rep.m
+    adj: list[list[int]] = [[] for _ in range(total)]
+    for i, mask in enumerate(rep.masks):
+        for v in _set_bits(mask):
+            adj[v].append(n + i)
+            adj[n + i].append(v)
+    degree = [len(ls) for ls in adj]
+    in_core = [True] * total
+    stack = [x for x in range(total) if degree[x] <= 1]
+    while stack:
+        x = stack.pop()
+        if not in_core[x]:
+            continue
+        in_core[x] = False
+        for y in adj[x]:
+            if in_core[y]:
+                degree[y] -= 1
+                if degree[y] <= 1:
+                    stack.append(y)
+    core = [x for x in range(total) if in_core[x]]
+    if not core:
+        return CYCLE_NONE, None
+    steps = step_budget
+    for start in core:
+        path = [start]
+        on_path = {start}
+        iters = [iter(adj[start])]
+        while iters:
+            stepped = False
+            for w in iters[-1]:
+                steps -= 1
+                if steps < 0:
+                    return CYCLE_UNKNOWN, None
+                if w < start or not in_core[w]:
+                    continue
+                if w == start and len(path) >= 6:
+                    if path[0] >= n:  # rotate a vertex node to the front
+                        path = path[1:] + path[:1]
+                    return CYCLE_FOUND, LabeledCycle(tuple(path[0::2]),
+                                                     tuple(x - n for x in path[1::2]))
+                if w in on_path:
+                    continue
+                path.append(w)
+                on_path.add(w)
+                iters.append(iter(adj[w]))
+                stepped = True
+                break
+            if not stepped:
+                iters.pop()
+                on_path.discard(path.pop())
+    return CYCLE_NONE, None

@@ -273,6 +273,35 @@ class TestExitCodes:
     def test_no_quotient_cap_flag(self):
         assert run_cli("solve", "--graph", "x", "--quotient-cap", "5").returncode == 2
 
+    @pytest.mark.parametrize("args, message", [
+        (("experiment", "sparse", "--n", "5", "--m", "2", "--p", "0.5", "--trials", "0"),
+         "--trials must be >= 1, got 0"),
+        (("experiment", "sparse", "--n", "5", "--m", "2", "--p", "0.5", "--trials", "2",
+          "--jobs", "0"), "--jobs must be >= 1, got 0"),
+        (("experiment", "sparse", "--n", "5", "--m", "2", "--p", "0.5", "--trials", "2",
+          "--budget", "-1"), "--budget must be >= 0, got -1"),
+        (("solve", "--graph", "g.txt", "--budget", "-1"), "--budget must be >= 0, got -1"),
+        (("oracle", "--graph", "g.txt", "--budget", "-5"), "--budget must be >= 0, got -5"),
+    ])
+    def test_out_of_range_counts_are_usage_errors(self, tmp_path, args, message):
+        (tmp_path / "g.txt").write_text(P3)
+        proc = run_cli(*args, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == f"usage error: {message}\n"
+        assert proc.stdout == ""
+
+    def test_budget_zero_is_valid(self, tmp_path):
+        (tmp_path / "empty.txt").write_text("0 0\n")
+        (tmp_path / "g.txt").write_text(P3)
+        for cmd in ("solve", "oracle"):
+            assert run_cli(cmd, "--graph", "empty.txt", "--budget", "0",
+                           cwd=tmp_path).returncode == 0
+            refused = run_cli(cmd, "--graph", "g.txt", "--budget", "0", cwd=tmp_path)
+            assert refused.returncode == 1  # a refused search, not a usage error
+        proc = run_cli("experiment", "sparse", "--n", "5", "--m", "2", "--p", "0.5",
+                       "--trials", "2", "--budget", "0", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestInProcessReuse:
     def test_calls_in_one_process_match_first_calls(self, tmp_path, monkeypatch, capsys):

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from rigclique import (FormatError, GraphError, LabelRepresentation, build_graph,
                        build_labels, decode_graph, decode_labels, encode_graph,
-                       encode_labels, induced_graph, is_chordal, is_clique)
+                       encode_labels, induced_graph, is_chordal, is_clique,
+                       resolve_params, sample_label_representation)
 
 from helpers import (brute_chordal, complete_graph, has_chordless_cycle, has_edge,
-                     label_sets, random_graph, two_triangles)
+                     label_sets, random_graph, two_triangles, whole_graph_is_chordal)
 
 
 @st.composite
@@ -204,6 +205,44 @@ class TestIsChordal:
         ok, order = is_chordal(build_graph(64, sorted(edges)))
         assert ok
         self._check_order_simplicial(build_graph(64, sorted(edges)), order)
+
+
+class TestChordalOrderMatchesWholeGraphSearch:
+    """is_chordal searches only the vertices with an edge; its answer is
+    the tuple that maximum cardinality search over all of g gives."""
+
+    @pytest.mark.parametrize("n, edges", [
+        (0, []),
+        (1, []),
+        (4, []),
+        # isolated vertices before, between and above two paths
+        (9, [(2, 3), (3, 4), (6, 7)]),
+        # a triangle, an isolated 3, an edge, isolated 6 and 7, a star
+        (12, [(0, 1), (1, 2), (0, 2), (4, 5), (8, 9), (8, 10), (8, 11)]),
+        # components whose smallest vertices interleave with isolated ones
+        (10, [(1, 9), (2, 5), (5, 8), (4, 7)]),
+        # a chordless 4-cycle beside isolated vertices
+        (7, [(1, 2), (2, 4), (4, 5), (1, 5)]),
+    ])
+    def test_small_graphs(self, n, edges):
+        g = build_graph(n, edges)
+        assert is_chordal(g) == whole_graph_is_chordal(g)
+
+    def test_random_graphs_with_isolated_vertices(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randint(1, 30)
+            active = sorted(rng.sample(range(n), rng.randint(0, n)))
+            edges = [(u, v) for i, u in enumerate(active) for v in active[i + 1:]
+                     if rng.random() < 0.25]
+            g = build_graph(n, edges)
+            assert is_chordal(g) == whole_graph_is_chordal(g)
+
+    def test_sparse_regime_samples(self):
+        params = resolve_params(n=2000, m=60, p=0.003)
+        for trial in range(200):
+            g = induced_graph(sample_label_representation(params, 1, trial))
+            assert is_chordal(g) == whole_graph_is_chordal(g)
 
 
 class TestGraphCodec:

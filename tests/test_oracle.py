@@ -11,7 +11,7 @@ from rigclique import (CYCLE_FOUND, CYCLE_NONE, CYCLE_UNKNOWN, Graph, LabeledCyc
 
 from helpers import (all_maximal_cliques, complete_graph, complete_multipartite, corona,
                      exact_intersection_number, exhaustive_labeled_cycle_exists,
-                     mask_is_clique, random_graph, random_label_rep, subset_max_clique,
+                     list_label_cycle, mask_is_clique, random_graph, random_label_rep, subset_max_clique,
                      two_triangles)
 
 
@@ -223,6 +223,38 @@ class TestDistinctLabelCycle:
                 assert not exists
             else:
                 raise AssertionError("tiny instances must not exhaust the budget")
+
+    def test_matches_whole_incidence_graph_search(self):
+        # empty labels, one-member labels and unlabelled vertices get no
+        # node; the status, the witness and the step at which the budget
+        # runs out are those of the search over every node
+        rng = random.Random(29)
+        seen = set()
+        for _ in range(400):
+            n, m = rng.randint(0, 14), rng.randint(0, 9)
+            sets = [[] if rng.random() < 0.3 else
+                    [i for i in range(m) if rng.random() < rng.choice([0.15, 0.35])]
+                    for _ in range(n)]
+            if m:
+                for v in range(n):  # one label only vertex 0 holds
+                    sets[v] = [i for i in sets[v] if i != m - 1]
+                if n:
+                    sets[0].append(m - 1)
+            rep = build_labels(n, m, sets)
+            for budget in (1, 3, 10, 30, 100, None):
+                kwargs = {} if budget is None else {"step_budget": budget}
+                got = find_distinct_label_cycle(rep, **kwargs)
+                assert got == list_label_cycle(rep, **kwargs)
+                seen.add(got[0])
+        assert seen == {CYCLE_FOUND, CYCLE_NONE, CYCLE_UNKNOWN}
+
+    def test_sparse_regime_matches_whole_incidence_graph_search(self):
+        params = resolve_params(n=2000, m=60, p=0.003)
+        for trial in range(30):
+            rep = sample_label_representation(params, 2, trial)
+            for budget in (1, 3, 10, 30, 100, None):
+                kwargs = {} if budget is None else {"step_budget": budget}
+                assert find_distinct_label_cycle(rep, **kwargs) == list_label_cycle(rep, **kwargs)
 
 
 class TestCheckLabeledCycle:

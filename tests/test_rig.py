@@ -92,6 +92,15 @@ class TestSampling:
         rep = sample_label_representation(resolve_params(n=5, m=4, p=1.0), seed=1)
         assert rep.masks == (0b11111,) * 4
 
+    @pytest.mark.parametrize("n, m", [(0, 0), (0, 4), (5, 0), (1, 3), (7, 5), (8, 5),
+                                      (9, 5), (13, 6), (64, 3), (100, 7)])
+    def test_masks_are_member_columns(self, n, m):
+        params = resolve_params(n=n, m=m, p=0.4)
+        matrix = sample_membership(params, seed=5, trial=3)
+        rep = sample_label_representation(params, seed=5, trial=3)
+        assert rep.masks == tuple(sum(1 << int(v) for v in np.flatnonzero(matrix[:, i]))
+                                  for i in range(m))
+
     def test_draw_order_is_vertex_major(self):
         # the documented contract: one uniform per (v, i), vertex-major,
         # label-ascending, off a fresh trial stream
