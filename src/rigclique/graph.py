@@ -74,9 +74,10 @@ def _pack_rows(widths: Sequence[int],
     gets a block of its own), so the transient cost follows the rows, not
     the vertex count; when all rows fit, they are one block, planned
     without the per-row loop. fill(start, stop, width) returns rows
-    start..stop-1 as a boolean array of stop - start rows and 1..width
-    columns. Each block is padded to whole bytes per row and packed as one
-    flat array, which numpy does far faster than packing along axis 1.
+    start..stop-1 as a boolean array of stop - start rows and 0..width
+    columns. Each block is padded to whole bytes per row, at least one, and
+    packed as one flat array, which numpy does far faster than packing
+    along axis 1.
     """
     rows: list[int] = []
     widest = max(widths, default=0)

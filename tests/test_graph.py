@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rigclique.graph
 from rigclique import (FormatError, GraphError, LabelRepresentation, build_graph,
                        build_labels, decode_graph, decode_labels, encode_graph,
                        encode_labels, induced_graph, is_chordal, is_clique,
@@ -205,6 +206,20 @@ class TestIsChordal:
         ok, order = is_chordal(build_graph(64, sorted(edges)))
         assert ok
         self._check_order_simplicial(build_graph(64, sorted(edges)), order)
+
+
+@pytest.mark.parametrize("block_cells", [64, 1 << 24])
+def test_subgraph_rows_restrict_any_sorted_vertex_list(monkeypatch, block_cells):
+    monkeypatch.setattr(rigclique.graph, "_BLOCK_CELLS", block_cells)
+    # a kept vertex whose only neighbour is dropped and lies below it
+    assert rigclique.graph._subgraph_rows(build_graph(6, [(2, 5)]), [5]) == [0]
+    rng = random.Random(41)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(0, 40), rng.choice([0.05, 0.3, 0.8]))
+        vs = sorted(rng.sample(range(g.n), rng.randint(0, g.n)))
+        want = build_graph(len(vs), [(i, j) for i in range(len(vs)) for j in range(i + 1, len(vs))
+                                     if has_edge(g, vs[i], vs[j])])
+        assert tuple(rigclique.graph._subgraph_rows(g, vs)) == want.bits
 
 
 class TestChordalOrderMatchesWholeGraphSearch:
