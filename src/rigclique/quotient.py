@@ -163,7 +163,7 @@ def max_weight_quotient_clique(q: QuotientGraph,
             raise SearchBudgetExceeded(
                 f"quotient search exceeded node budget {node_budget}")
         out: list[tuple[int, int]] = []
-        residual: dict[int, int] = {}
+        residual = list(weights)
         total = 0
         rest = pmask
         while rest:
@@ -173,13 +173,11 @@ def max_weight_quotient_clique(q: QuotientGraph,
                 v = (avail & -avail).bit_length() - 1
                 avail &= others[v]
                 peeled.append(v)
-            charge = min(residual.get(v, weights[v]) for v in peeled)
+            charge = min(map(residual.__getitem__, peeled))
             total += charge
             for v in reversed(peeled):
-                left = residual.get(v, weights[v]) - charge
-                if left:
-                    residual[v] = left
-                else:
+                left = residual[v] = residual[v] - charge
+                if not left:
                     out.append((v, total))
                     rest ^= 1 << v
         return out
@@ -238,6 +236,36 @@ def max_weight_quotient_clique(q: QuotientGraph,
     return tuple(chosen)
 
 
+def _simplicial_start(g: Graph, partition: Partition) -> list[int]:
+    """The largest closed neighbourhood N[v] that is a clique, as its
+    vertices, or [] when no vertex has one.
+
+    N[v] is a clique iff every neighbour w has N[w] ⊇ N[v], which is one
+    AND and one popcount per neighbour; a try stops at the first neighbour
+    that fails. Class representatives are tried by degree, highest first,
+    the lowest vertex among equal degrees, and the first that passes wins.
+    Its N[v] is a union of classes, since a twin of a neighbour is a
+    neighbour too. When a label is a maximum clique, N[v] of a vertex that
+    holds only that label is the label, so the start reaches ω.
+    """
+    bits = g.bits
+    for v in sorted((cls[0] for cls in partition.classes), key=lambda u: -bits[u].bit_count()):
+        row = bits[v]
+        degree = row.bit_count()
+        hood = row | 1 << v
+        members = [v]
+        rest = row
+        while rest:
+            w = (rest & -rest).bit_length() - 1
+            if (hood & bits[w]).bit_count() != degree:
+                break
+            members.append(w)
+            rest ^= 1 << w
+        else:
+            return members
+    return []
+
+
 def find_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
                     clique: Iterable[int] = ()) -> tuple[int, ...]:
     """Maximum clique of g via the closed-neighborhood quotient, as a sorted
@@ -250,14 +278,19 @@ def find_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
 
     clique, a known clique of g such as a label's member set, warm-starts
     the search: the classes it meets form a clique of the quotient, whose
-    weight is the first search's starting best. The answer is the same
-    tuple with or without it. A clique that is not one raises ValueError,
-    and a vertex out of range GraphError.
+    weight is the first search's starting best. Without one, the search
+    starts from the largest closed neighbourhood N[v] that is a clique
+    (v simplicial), found at no cost in search nodes; when a label is a
+    maximum clique, N[v] of a vertex holding only that label is one. The
+    answer is the same tuple with either start or none. A clique that is
+    not one raises ValueError, and a vertex out of range GraphError.
     """
     clique = set(clique)
     if not is_clique(g, clique):
         raise ValueError("incumbent is not a clique of g")
     partition = closed_neighborhood_partition(g)
+    if not clique:
+        clique = set(_simplicial_start(g, partition))
     q = quotient_graph(g, partition)
     met = [c for c, cls in enumerate(partition.classes) if not clique.isdisjoint(cls)]
     chosen = max_weight_quotient_clique(q, node_budget=node_budget, clique=met)

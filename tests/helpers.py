@@ -206,6 +206,17 @@ def closed_neighborhood(g: Graph, v: int) -> frozenset[int]:
     return frozenset(w for w in range(g.n) if has_edge(g, v, w)) | {v}
 
 
+def largest_simplicial_clique(g: Graph) -> tuple[int, ...]:
+    """The largest closed neighborhood that is a clique, checked pair by
+    pair, the lowest vertex's among equal sizes; () when none is."""
+    best: tuple[int, ...] = ()
+    for v in range(g.n):
+        hood = tuple(sorted(closed_neighborhood(g, v)))
+        if len(hood) > len(best) and all(has_edge(g, a, b) for a, b in combinations(hood, 2)):
+            best = hood
+    return best
+
+
 def pairwise_partition(g: Graph) -> Partition:
     """Closed-neighborhood partition straight from the definition: repeatedly
     take the smallest unassigned vertex and scan every other vertex for an

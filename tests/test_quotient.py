@@ -15,13 +15,13 @@ from rigclique import (Graph, GraphError, Partition, QuotientGraph,
                        induced_graph, is_clique, max_clique_from_labels,
                        max_weight_quotient_clique, quotient_graph, resolve_params,
                        sample_label_representation)
-from rigclique.quotient import _renumbered_rows
+from rigclique.quotient import _renumbered_rows, _simplicial_start
 
 from helpers import (check_quotient, class_of, closed_neighborhood, complete_graph,
                      complete_multipartite, corona, exact_intersection_number,
-                     label_members, pairwise_partition, quotient_rows_loop,
-                     random_graph, random_quotient, subset_max_clique,
-                     subset_max_weight_cliques, two_triangles)
+                     label_members, largest_simplicial_clique, pairwise_partition,
+                     quotient_rows_loop, random_graph, random_label_rep, random_quotient,
+                     subset_max_clique, subset_max_weight_cliques, two_triangles)
 
 
 class TestPartition:
@@ -263,17 +263,22 @@ class TestFindMaxClique:
             assert rebuilt == list(clique)
 
     def test_solves_l1_within_fixed_node_budget(self):
-        # ladder rung L1; the search takes 54 nodes
+        # ladder rung L1; the search takes 1 node from the simplicial start,
+        # and 54 from nothing
         rep = sample_label_representation(resolve_params(n=400, m=10, p=0.2), seed=1, trial=0)
         g = induced_graph(rep)
         clique = find_max_clique(g, node_budget=250)
         assert is_clique(g, clique)
         assert len(clique) == len(exact_max_clique(g))
 
+    # The simplicial start is a maximum clique on each, so the first search
+    # closes at its root; the rest are the scan's searches.
     @pytest.mark.parametrize("n, m, p, nodes", [
-        (400, 10, 0.2, 54),  # ladder rung L1: the scan takes the first witness whole
-        (400, 6, 0.3, 53),  # a single-label-dense trial: 26 nodes, then 27 in the scan
-    ], ids=["L1", "single-label-dense"])
+        (400, 10, 0.2, 1),  # ladder rung L1: the scan takes the start whole
+        (400, 6, 0.3, 5),  # a single-label-dense trial: the root, then 4 in the scan
+        (2000, 10, 0.2, 3),  # ladder rung L2
+        (3000, 100, 0.02, 15),  # ladder rung L4
+    ], ids=["L1", "single-label-dense", "L2", "L4"])
     def test_exact_node_count(self, n, m, p, nodes):
         g = induced_graph(sample_label_representation(resolve_params(n=n, m=m, p=p),
                                                       seed=1, trial=0))
@@ -361,6 +366,78 @@ class TestIncumbent:
         assert find_max_clique(g, node_budget=nodes, clique=label) == exact_max_clique(g)
         with pytest.raises(SearchBudgetExceeded, match=f"node budget {nodes - 1}"):
             find_max_clique(g, node_budget=nodes - 1, clique=label)
+
+
+def blown_up(rng: random.Random, q: QuotientGraph) -> Graph:
+    """q with each node k replaced by weights[k] twins, on shuffled ids."""
+    owner = [c for c, w in enumerate(q.weights) for _ in range(w)]
+    rng.shuffle(owner)
+    return build_graph(len(owner), [
+        (u, v) for u, v in combinations(range(len(owner)), 2)
+        if owner[u] == owner[v] or q.graph.bits[owner[u]] >> owner[v] & 1])
+
+
+def simplicial_start(g: Graph) -> tuple[int, ...]:
+    return tuple(sorted(_simplicial_start(g, closed_neighborhood_partition(g))))
+
+
+class TestSimplicialStart:
+    @pytest.mark.parametrize("graph, start", [
+        (build_graph(0, []), ()),
+        (build_graph(4, []), (0,)),
+        (complete_graph(5), (0, 1, 2, 3, 4)),
+        (two_triangles(), (0, 1, 2)),
+        (complete_multipartite([3, 3, 1, 1, 1]), ()),
+        (corona(6), (0, 6)),
+    ], ids=["n=0", "edgeless", "K5", "two-triangles", "K3,3,1,1,1", "corona-K6"])
+    def test_small_cases(self, graph, start):
+        assert simplicial_start(graph) == largest_simplicial_clique(graph) == start
+
+    def test_matches_brute_force(self):
+        rng = random.Random(71)
+        for trial in range(450):
+            if trial % 3 == 0:
+                g = random_graph(rng, rng.randint(0, 16), rng.choice([0.0, 0.2, 0.5, 0.8, 1.0]))
+            elif trial % 3 == 1:  # twins and unlabelled isolated vertices
+                g = induced_graph(random_label_rep(rng, rng.randint(0, 30), rng.randint(1, 6),
+                                                   rng.choice([0.1, 0.3, 0.6])))
+            else:
+                g = blown_up(rng, random_quotient(rng, rng.randint(1, 10),
+                                                  rng.choice([0.2, 0.5, 0.8]), 3))
+            assert simplicial_start(g) == largest_simplicial_clique(g)
+
+    @pytest.mark.parametrize("graph", [corona(k) for k in range(3, 7)] + [
+        complete_multipartite([3, 3, 1, 1, 1]), complete_multipartite([2, 2, 2, 2])],
+        ids=[f"corona-K{k}" for k in range(3, 7)] + ["K3,3,1,1,1", "K2,2,2,2"])
+    def test_answer_when_the_start_is_short(self, graph):
+        assert len(simplicial_start(graph)) < len(subset_max_clique(graph))
+        assert find_max_clique(graph) == subset_max_clique(graph) == exact_max_clique(graph)
+
+    def test_small_graphs_match_brute_force(self):
+        rng = random.Random(73)
+        short = 0
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 12), rng.choice([0.2, 0.4, 0.6]))
+            answer = subset_max_clique(g)
+            short += len(simplicial_start(g)) < len(answer)
+            assert find_max_clique(g) == answer
+        assert short >= 50
+
+    def test_labels_that_overlap(self):
+        # m p^2 = 1, as on ladder rung L5, where a vertex often holds several
+        # labels and the start can fall short of the largest label
+        rng = random.Random(79)
+        short = 0
+        for _ in range(40):
+            rep = sample_label_representation(resolve_params(n=rng.randint(20, 80), m=25, p=0.2),
+                                              rng.randrange(2**32))
+            g = induced_graph(rep)
+            answer = exact_max_clique(g)
+            short += len(simplicial_start(g)) < len(answer)
+            assert find_max_clique(g) == answer
+            for members in label_members(rep):
+                assert find_max_clique(g, clique=members) == answer
+        assert short >= 20
 
 
 class TestQuotientSizeBound:
