@@ -263,8 +263,7 @@ class TestFindMaxClique:
             assert rebuilt == list(clique)
 
     def test_solves_l1_within_fixed_node_budget(self):
-        # ladder rung L1; the search takes 1 node from the simplicial start,
-        # and 54 from nothing
+        # ladder rung L1; the search takes 1 node from the simplicial start
         rep = sample_label_representation(resolve_params(n=400, m=10, p=0.2), seed=1, trial=0)
         g = induced_graph(rep)
         clique = find_max_clique(g, node_budget=250)
