@@ -204,24 +204,29 @@ def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
 
 
 def _subgraph_rows(g: Graph, vertices: Sequence[int]) -> list[int]:
-    """Rows of g restricted to vertices, an ascending list of vertex ids,
-    and renumbered in its order: bit j of row i is set iff vertices[i] and
+    """Rows of g restricted to vertices, distinct vertex ids in any order,
+    and renumbered in that order: bit j of row i is set iff vertices[i] and
     vertices[j] are adjacent.
 
-    Blocks of the nonzero rows are unpacked to bits, the kept columns taken
-    and the result packed again; each block is as wide as its rows'
-    bit_length(), never n.
+    Blocks of the nonzero rows are unpacked to their bit_length() plus one
+    column, not to n; a kept vertex beyond reads that last column, which
+    is zero. Columns are taken up to the last kept vertex below the width,
+    in ascending order never more than the width, and packed again.
     """
     keep = np.array(vertices, dtype=np.intp)
     rows = [g.bits[v] for v in vertices]
     nonzero = [i for i, row in enumerate(rows) if row]
+    tops = np.array([rows[i].bit_length() for i in nonzero], dtype=np.intp)
+    reach = np.zeros(g.n + 1, np.intp)  # reach[t]: columns a row below 2**t needs
+    reach[keep + 1] = np.arange(1, len(keep) + 1)
+    np.maximum.accumulate(reach, out=reach)
 
     def fill(start: int, stop: int, width: int) -> np.ndarray:
         cells = _unpack_rows([rows[i] for i in nonzero[start:stop]], width)
-        return cells.take(keep[:np.searchsorted(keep, width)], axis=1)
+        return cells.take(np.minimum(keep[:reach[tops[start:stop].max()]], width - 1), axis=1)
 
     out = [0] * len(rows)
-    for i, row in zip(nonzero, _pack_rows([rows[i].bit_length() for i in nonzero], fill)):
+    for i, row in zip(nonzero, _pack_rows(np.maximum(tops + 1, reach[tops]).tolist(), fill)):
         out[i] = row
     return out
 

@@ -8,7 +8,8 @@ maximum-weight clique lifts back to a maximum clique of the input.
 
 That clique is found by weighted branch and bound over the quotient's
 bitmask rows, not by listing maximal cliques: a quotient built from few
-labels can have exponentially many of those.
+labels can have exponentially many of those. find_max_clique takes the
+search's rows, in degree order, from the input's rows in one pass.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
-from .graph import Graph, _pack_rows, _subgraph_rows, _unpack_rows, is_clique
+from .graph import Graph, _subgraph_rows, is_clique
 from .oracle import DEFAULT_NODE_BUDGET, SearchBudgetExceeded
 
 # Unused by the package: the search is bounded by its node budget alone, and
@@ -90,21 +89,6 @@ def quotient_graph(g: Graph, partition: Partition) -> QuotientGraph:
     return QuotientGraph(tuple(len(cls) for cls in classes), Graph(len(classes), tuple(rows)))
 
 
-def _renumbered_rows(rows: tuple[int, ...], perm: list[int]) -> list[int]:
-    """Rows of the same graph with node i standing for node perm[i].
-
-    Built in blocks: the rows perm[start:stop] are unpacked, their columns
-    taken in perm order and the result packed again.
-    """
-    k = len(rows)
-    columns = np.array(perm)
-
-    def fill(start: int, stop: int, width: int) -> np.ndarray:
-        return _unpack_rows([rows[c] for c in perm[start:stop]], k).take(columns, axis=1)
-
-    return _pack_rows([k] * k, fill)
-
-
 def max_weight_quotient_clique(q: QuotientGraph,
                                node_budget: int = DEFAULT_NODE_BUDGET,
                                clique: Iterable[int] = ()) -> tuple[int, ...]:
@@ -120,8 +104,8 @@ def max_weight_quotient_clique(q: QuotientGraph,
     equal bounds from the lowest node, so its first clique of a given
     weight tends to be the lexicographically smallest one.
 
-    It runs on the classes renumbered by degree, highest first, the initial
-    order of Tomita and Seki's MCQ: high-degree classes colour first, so
+    It runs on the classes renumbered by degree in one pass, highest first,
+    as Tomita and Seki's MCQ starts: high-degree classes colour first, so
     the bounds are tight where the search branches. One search finds the
     best weight and a witness clique of it. A scan then walks the classes
     in index order (classes by smallest member), keeping each that extends
@@ -143,12 +127,18 @@ def max_weight_quotient_clique(q: QuotientGraph,
     clique = set(clique)
     if not is_clique(q.graph, clique):
         raise ValueError("incumbent is not a clique of the quotient")
-    if q.k == 0:
+    perm = sorted(range(q.k), key=lambda c: -q.graph.degree(c))
+    weights = [q.weights[c] for c in perm]
+    return _weighted_search(_subgraph_rows(q.graph, perm), weights, perm, clique, node_budget)
+
+
+def _weighted_search(rows: list[int], weights: list[int], perm: list[int],
+                     clique: set[int], node_budget: int) -> tuple[int, ...]:
+    """max_weight_quotient_clique's search: node i is class perm[i], with
+    rows[i] and weights[i]; clique is a clique of class indices."""
+    if not perm:
         return ()
     budget = node_budget
-    perm = sorted(range(q.k), key=lambda c: -q.graph.degree(c))
-    rows = _renumbered_rows(q.graph.bits, perm)
-    weights = tuple(q.weights[c] for c in perm)
     others = [~(row | (1 << v)) for v, row in enumerate(rows)]
 
     def colour(pmask: int) -> list[tuple[int, int]]:
@@ -214,12 +204,12 @@ def max_weight_quotient_clique(q: QuotientGraph,
                     break
         return best
 
-    pmask = (1 << q.k) - 1
+    pmask = (1 << len(perm)) - 1
     # The chosen classes and the witness members not yet scanned form a
     # clique of the best weight; missing is what the chosen ones lack of it.
-    missing = search(pmask, sum(q.weights[c] for c in clique), sum(weights))
+    missing = search(pmask, sum(weights[v] for v in witness), sum(weights))
     chosen: list[int] = []
-    for v in sorted(range(q.k), key=perm.__getitem__):  # in class index order
+    for v in sorted(range(len(perm)), key=perm.__getitem__):  # in class index order
         if not pmask >> v & 1:
             continue
         pmask ^= 1 << v
@@ -271,10 +261,11 @@ def find_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
     """Maximum clique of g via the closed-neighborhood quotient, as a sorted
     vertex tuple.
 
-    Partition, collapse, solve the weighted quotient, then take the union of
-    the selected classes; the empty graph gives (). The quotient search
-    raises SearchBudgetExceeded beyond node_budget search nodes, whatever
-    the number of classes.
+    Partition, search the weighted quotient, then take the union of the
+    selected classes; the empty graph gives (). The search's rows are the
+    representatives' rows of g, restricted and put in the quotient's degree
+    order in one pass. It raises SearchBudgetExceeded beyond node_budget
+    search nodes, whatever the number of classes.
 
     clique, a known clique of g such as a label's member set, warm-starts
     the search: the classes it meets form a clique of the quotient, whose
@@ -291,10 +282,14 @@ def find_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
     partition = closed_neighborhood_partition(g)
     if not clique:
         clique = set(_simplicial_start(g, partition))
-    q = quotient_graph(g, partition)
-    met = [c for c, cls in enumerate(partition.classes) if not clique.isdisjoint(cls)]
-    chosen = max_weight_quotient_clique(q, node_budget=node_budget, clique=met)
-    vertices: list[int] = []
-    for c in chosen:
-        vertices.extend(partition.classes[c])
-    return tuple(sorted(vertices))
+    reps = [cls[0] for cls in partition.classes]
+    packed = bytearray(g.n // 8 + 1)
+    for v in reps:
+        packed[v >> 3] |= 1 << (v & 7)
+    among = int.from_bytes(packed, "little")  # the representatives
+    perm = sorted(range(len(reps)), key=lambda c: -(g.bits[reps[c]] & among).bit_count())
+    met = {c for c, cls in enumerate(partition.classes) if not clique.isdisjoint(cls)}
+    rows = _subgraph_rows(g, [reps[c] for c in perm])
+    weights = [len(partition.classes[c]) for c in perm]
+    chosen = _weighted_search(rows, weights, perm, met, node_budget)
+    return tuple(sorted(v for c in chosen for v in partition.classes[c]))

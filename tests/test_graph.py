@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 import rigclique.graph
 from rigclique import (FormatError, GraphError, LabelRepresentation, build_graph,
-                       build_labels, decode_graph, decode_labels, encode_graph,
-                       encode_labels, induced_graph, is_chordal, is_clique,
-                       resolve_params, sample_label_representation)
+                       build_labels, closed_neighborhood_partition, decode_graph,
+                       decode_labels, encode_graph, encode_labels, induced_graph,
+                       is_chordal, is_clique, resolve_params, sample_label_representation)
 
 from helpers import (brute_chordal, complete_graph, has_chordless_cycle, has_edge,
                      label_sets, random_graph, two_triangles, whole_graph_is_chordal)
@@ -208,18 +208,74 @@ class TestIsChordal:
         self._check_order_simplicial(build_graph(64, sorted(edges)), order)
 
 
+def restricted(g, vs):
+    """g restricted to the vertex list vs, renumbered in its order, edge by edge."""
+    return build_graph(len(vs), [(i, j) for i in range(len(vs)) for j in range(i + 1, len(vs))
+                                 if has_edge(g, vs[i], vs[j])])
+
+
 @pytest.mark.parametrize("block_cells", [64, 1 << 24])
-def test_subgraph_rows_restrict_any_sorted_vertex_list(monkeypatch, block_cells):
+def test_subgraph_rows_restrict_any_vertex_order(monkeypatch, block_cells):
     monkeypatch.setattr(rigclique.graph, "_BLOCK_CELLS", block_cells)
-    # a kept vertex whose only neighbour is dropped and lies below it
-    assert rigclique.graph._subgraph_rows(build_graph(6, [(2, 5)]), [5]) == [0]
+    # a kept vertex whose only neighbour is dropped and lies below it, alone
+    # and listed before a lower kept vertex whose only neighbour is dropped
+    g = build_graph(6, [(2, 5), (1, 3)])
+    assert rigclique.graph._subgraph_rows(g, [5]) == [0]
+    assert rigclique.graph._subgraph_rows(g, [5, 1]) == [0, 0]
     rng = random.Random(41)
     for _ in range(60):
         g = random_graph(rng, rng.randint(0, 40), rng.choice([0.05, 0.3, 0.8]))
         vs = sorted(rng.sample(range(g.n), rng.randint(0, g.n)))
-        want = build_graph(len(vs), [(i, j) for i in range(len(vs)) for j in range(i + 1, len(vs))
-                                     if has_edge(g, vs[i], vs[j])])
-        assert tuple(rigclique.graph._subgraph_rows(g, vs)) == want.bits
+        assert tuple(rigclique.graph._subgraph_rows(g, vs)) == restricted(g, vs).bits
+        rng.shuffle(vs)
+        assert tuple(rigclique.graph._subgraph_rows(g, vs)) == restricted(g, vs).bits
+    rng = random.Random(59)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(1, 40), rng.choice([0.1, 0.5, 0.9]))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        where = {c: i for i, c in enumerate(perm)}
+        renamed = build_graph(g.n, [(where[u], where[v]) for u, v in g.edges])
+        assert tuple(rigclique.graph._subgraph_rows(g, perm)) == renamed.bits
+
+
+def test_subgraph_rows_blocks_stay_within_bound_in_any_order(monkeypatch):
+    # A band graph: vertex v sees only ids near v, so a low vertex's row is
+    # narrow, while its class representatives in degree order list high ids
+    # early, so the columns such a row needs run far past its width.
+    cells = 256
+    monkeypatch.setattr(rigclique.graph, "_BLOCK_CELLS", cells)
+    unpacked, packed = [], []
+    unpack, pack = rigclique.graph._unpack_rows, rigclique.graph._pack_rows
+
+    def recording_unpack(rows, width):
+        block = unpack(rows, width)
+        unpacked.append(block.shape)
+        return block
+
+    def recording_pack(widths, fill):
+        def recording_fill(start, stop, width):
+            block = fill(start, stop, width)
+            packed.append(block.shape)
+            return block
+        return pack(widths, recording_fill)
+
+    monkeypatch.setattr(rigclique.graph, "_unpack_rows", recording_unpack)
+    monkeypatch.setattr(rigclique.graph, "_pack_rows", recording_pack)
+    rng = random.Random(61)
+    n = 120
+    g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, min(u + 6, n))
+                        if v - u == 1 or rng.random() < 0.5])
+    reps = [cls[0] for cls in closed_neighborhood_partition(g).classes]
+    reps.sort(key=lambda v: -g.bits[v].bit_count())
+    assert sum(g.bits[v].bit_length() < len(reps) // 4 for v in reps) > 20
+    assert tuple(rigclique.graph._subgraph_rows(g, reps)) == restricted(g, reps).bits
+    assert len(unpacked) == len(packed) > 1
+    assert any(rows > 1 for rows, _ in packed)
+    for rows, columns in unpacked:  # each row unpacked to whole bytes
+        assert rows * columns <= cells + 7 * rows
+    for rows, columns in packed:
+        assert rows * columns <= cells
 
 
 class TestChordalOrderMatchesWholeGraphSearch:

@@ -15,7 +15,7 @@ from rigclique import (Graph, GraphError, Partition, QuotientGraph,
                        induced_graph, is_clique, max_clique_from_labels,
                        max_weight_quotient_clique, quotient_graph, resolve_params,
                        sample_label_representation)
-from rigclique.quotient import _renumbered_rows, _simplicial_start
+from rigclique.quotient import _simplicial_start
 
 from helpers import (check_quotient, class_of, closed_neighborhood, complete_graph,
                      complete_multipartite, corona, exact_intersection_number,
@@ -197,18 +197,6 @@ class TestMaxWeightQuotientClique:
             assert max_weight_quotient_clique(q) == winners[0]
             # the largest tie as incumbent: the first witness is not the answer
             assert max_weight_quotient_clique(q, clique=winners[-1]) == winners[0]
-
-    @pytest.mark.parametrize("block_cells", [64, 1 << 24])
-    def test_renumbered_rows_permute_the_graph(self, monkeypatch, block_cells):
-        monkeypatch.setattr(rigclique.graph, "_BLOCK_CELLS", block_cells)
-        rng = random.Random(59)
-        for _ in range(30):
-            g = random_graph(rng, rng.randint(1, 40), rng.choice([0.1, 0.5, 0.9]))
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            where = {c: i for i, c in enumerate(perm)}
-            renamed = build_graph(g.n, [(where[u], where[v]) for u, v in g.edges])
-            assert tuple(_renumbered_rows(g.bits, perm)) == renamed.bits
 
     def test_deep_quotient_cocktail_party(self):
         # K_{2x1050}: every vertex misses only its partner v ^ 1, so each is its
@@ -437,6 +425,45 @@ class TestSimplicialStart:
             for members in label_members(rep):
                 assert find_max_clique(g, clique=members) == answer
         assert short >= 20
+
+
+def fewest_nodes(solve) -> tuple[int, tuple[int, ...]]:
+    """The smallest node budget at which solve(budget) answers, and the
+    answer; it refuses at one less."""
+    budget = 0
+    while True:
+        try:
+            return budget, solve(budget)
+        except SearchBudgetExceeded:
+            budget += 1
+
+
+class TestRowsFromG:
+    """find_max_clique builds its search rows from g's representatives, not
+    from the quotient; it must run the very search that
+    max_weight_quotient_clique runs on the quotient from the same start."""
+
+    def test_same_search_as_on_the_quotient(self):
+        rng = random.Random(83)
+        branched = 0
+        for trial in range(300):
+            if trial % 2:  # twin classes of sizes 1 to 4
+                g = blown_up(rng, random_quotient(rng, rng.randint(1, 14),
+                                                  rng.choice([0.2, 0.5, 0.8]), 4))
+            else:
+                g = induced_graph(random_label_rep(rng, rng.randint(1, 40), rng.randint(1, 6),
+                                                   rng.choice([0.1, 0.3, 0.6])))
+            part = closed_neighborhood_partition(g)
+            q = quotient_graph(g, part)
+            start = set(_simplicial_start(g, part))
+            met = [c for c, cls in enumerate(part.classes) if not start.isdisjoint(cls)]
+            nodes, answer = fewest_nodes(lambda budget: find_max_clique(g, budget))
+            q_nodes, chosen = fewest_nodes(
+                lambda budget: max_weight_quotient_clique(q, budget, clique=met))
+            assert nodes == q_nodes
+            assert answer == tuple(sorted(v for c in chosen for v in part.classes[c]))
+            branched += nodes > 1
+        assert branched >= 100
 
 
 class TestQuotientSizeBound:
