@@ -215,28 +215,28 @@ def restricted(g, vs):
 
 
 @pytest.mark.parametrize("block_cells", [64, 1 << 24])
-def test_subgraph_rows_restrict_any_vertex_order(monkeypatch, block_cells):
+def test_subgraph_rows_restrict_any_sorted_vertex_list(monkeypatch, block_cells):
     monkeypatch.setattr(rigclique.graph, "_BLOCK_CELLS", block_cells)
-    # a kept vertex whose only neighbour is dropped and lies below it, alone
-    # and listed before a lower kept vertex whose only neighbour is dropped
-    g = build_graph(6, [(2, 5), (1, 3)])
-    assert rigclique.graph._subgraph_rows(g, [5]) == [0]
-    assert rigclique.graph._subgraph_rows(g, [5, 1]) == [0, 0]
+    # a kept vertex whose only neighbour is dropped and lies below it
+    assert rigclique.graph._subgraph_rows(build_graph(6, [(2, 5)]), [5]) == [0]
     rng = random.Random(41)
     for _ in range(60):
         g = random_graph(rng, rng.randint(0, 40), rng.choice([0.05, 0.3, 0.8]))
         vs = sorted(rng.sample(range(g.n), rng.randint(0, g.n)))
         assert tuple(rigclique.graph._subgraph_rows(g, vs)) == restricted(g, vs).bits
-        rng.shuffle(vs)
+
+
+@pytest.mark.parametrize("block_cells", [64, 1 << 24])
+def test_subgraph_rows_restrict_any_vertex_order(monkeypatch, block_cells):
+    monkeypatch.setattr(rigclique.graph, "_BLOCK_CELLS", block_cells)
+    # a kept vertex listed before a lower kept vertex whose only neighbour is dropped
+    g = build_graph(6, [(2, 5), (1, 3)])
+    assert rigclique.graph._subgraph_rows(g, [5, 1]) == [0, 0]
+    rng = random.Random(43)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(0, 40), rng.choice([0.05, 0.3, 0.8]))
+        vs = rng.sample(range(g.n), rng.randint(0, g.n))
         assert tuple(rigclique.graph._subgraph_rows(g, vs)) == restricted(g, vs).bits
-    rng = random.Random(59)
-    for _ in range(30):
-        g = random_graph(rng, rng.randint(1, 40), rng.choice([0.1, 0.5, 0.9]))
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        where = {c: i for i, c in enumerate(perm)}
-        renamed = build_graph(g.n, [(where[u], where[v]) for u, v in g.edges])
-        assert tuple(rigclique.graph._subgraph_rows(g, perm)) == renamed.bits
 
 
 def test_subgraph_rows_blocks_stay_within_bound_in_any_order(monkeypatch):

@@ -198,6 +198,19 @@ class TestMaxWeightQuotientClique:
             # the largest tie as incumbent: the first witness is not the answer
             assert max_weight_quotient_clique(q, clique=winners[-1]) == winners[0]
 
+    @pytest.mark.parametrize("block_cells", [64, 1 << 24])
+    def test_renumbered_rows_permute_the_graph(self, monkeypatch, block_cells):
+        # the search renumbers the classes by building their rows in its order
+        monkeypatch.setattr(rigclique.graph, "_BLOCK_CELLS", block_cells)
+        rng = random.Random(59)
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(1, 40), rng.choice([0.1, 0.5, 0.9]))
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            where = {c: i for i, c in enumerate(perm)}
+            renamed = build_graph(g.n, [(where[u], where[v]) for u, v in g.edges])
+            assert tuple(rigclique.graph._subgraph_rows(g, perm)) == renamed.bits
+
     def test_deep_quotient_cocktail_party(self):
         # K_{2x1050}: every vertex misses only its partner v ^ 1, so each is its
         # own class and the maximum clique takes one vertex of all 1,050 pairs;
