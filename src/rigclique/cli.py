@@ -137,11 +137,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     jobs = _at_least(args, "jobs", 1)
     budget = _at_least(args, "budget", 0)
     params = _params(args, args.n)
-    budgets = {}
-    if budget is not None:
-        budgets = {"node_budget": budget, "cycle_budget": budget}
     cfg = ExperimentConfig(kind=args.kind, params=params, trials=trials,
-                           seed=args.seed, **budgets)
+                           seed=args.seed, budget=budget)
     stats = run_experiment(cfg, jobs=jobs, progress=_progress(trials))
     if args.csv is None:
         sys.stdout.write(stats.to_csv())

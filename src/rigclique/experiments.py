@@ -54,8 +54,7 @@ class ExperimentConfig:
     params: RigParams
     trials: int
     seed: int
-    node_budget: int = DEFAULT_NODE_BUDGET  # quotient-search nodes per single_label trial
-    cycle_budget: int = DEFAULT_CYCLE_STEPS
+    budget: int | None = None  # search nodes or cycle steps per trial; None: the default
 
 
 @dataclass
@@ -98,7 +97,8 @@ def _single_label_trial(cfg: ExperimentConfig, trial: int) -> dict[str, object]:
     g = induced_graph(rep)
     label = max_clique_from_labels(rep)
     try:
-        clique = find_max_clique(g, node_budget=cfg.node_budget, clique=label)
+        budget = DEFAULT_NODE_BUDGET if cfg.budget is None else cfg.budget
+        clique = find_max_clique(g, node_budget=budget, clique=label)
     except SearchBudgetExceeded:
         return {"trial": trial, "status": "error"}
     omega = len(clique)
@@ -151,7 +151,8 @@ def _concentration_trial(cfg: ExperimentConfig, trial: int) -> dict[str, object]
 
 def _sparse_trial(cfg: ExperimentConfig, trial: int) -> dict[str, object]:
     rep = sample_label_representation(cfg.params, cfg.seed, trial)
-    status, cycle = find_distinct_label_cycle(rep, step_budget=cfg.cycle_budget)
+    budget = DEFAULT_CYCLE_STEPS if cfg.budget is None else cfg.budget
+    status, cycle = find_distinct_label_cycle(rep, step_budget=budget)
     if status == CYCLE_FOUND:
         assert cycle is not None
         check_labeled_cycle(rep, cycle)  # witness validity is non-negotiable

@@ -2,7 +2,7 @@
 
 Vertices are 0-indexed everywhere. Graphs are simple, undirected, and
 immutable once built. Adjacency is kept once, as one bitmask per vertex;
-the sorted edge list is derived from those rows on first use.
+the sorted edge list is derived from those rows on each use.
 """
 
 from __future__ import annotations
@@ -31,23 +31,17 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1. Build via build_graph()
     or induced_graph()."""
 
-    __slots__ = ("n", "bits", "_edges")
+    __slots__ = ("n", "bits")
 
     def __init__(self, n: int, bits: tuple[int, ...]):
         self.n = n
         self.bits = bits  # bitmask per vertex, bit u set iff {v, u} is an edge
-        self._edges: tuple[tuple[int, int], ...] | None = None
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Sorted (u, v) pairs with u < v, derived once from bits."""
-        if self._edges is None:
-            self._edges = tuple((u, u + 1 + j) for u, row in enumerate(self.bits)
-                                for j in _members(row >> (u + 1)))  # bits above u
-        return self._edges
-
-    def degree(self, v: int) -> int:
-        return self.bits[v].bit_count()
+        """Sorted (u, v) pairs with u < v, derived from bits on each call."""
+        return tuple((u, u + 1 + j) for u, row in enumerate(self.bits)
+                     for j in _members(row >> (u + 1)))  # bits above u
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -58,7 +52,7 @@ class Graph:
         return hash((self.n, self.bits))
 
     def __repr__(self) -> str:
-        edges = sum(map(int.bit_count, self.bits)) // 2  # leaves the edge list underived
+        edges = sum(map(int.bit_count, self.bits)) // 2  # without deriving the edge list
         return f"Graph(n={self.n}, edges={edges})"
 
 
@@ -203,10 +197,20 @@ def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
     return True
 
 
+def _mask(vertices: Iterable[int], n: int) -> int:
+    """Bitmask of the given vertices of 0..n-1, set byte by byte, so the
+    cost is linear in n and in the number of vertices."""
+    packed = bytearray(n // 8 + 1)
+    for v in vertices:
+        packed[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(packed, "little")
+
+
 def _subgraph_rows(g: Graph, vertices: Sequence[int]) -> list[int]:
     """Rows of g restricted to vertices, distinct vertex ids in any order,
     and renumbered in that order: bit j of row i is set iff vertices[i] and
-    vertices[j] are adjacent.
+    vertices[j] are adjacent. The quotient search passes its class
+    representatives in degree order, quotient_graph in ascending order.
 
     Blocks of the nonzero rows are unpacked to their bit_length() plus one
     column, not to n; a kept vertex beyond reads that last column, which
@@ -231,10 +235,11 @@ def _subgraph_rows(g: Graph, vertices: Sequence[int]) -> list[int]:
     return out
 
 
-def _perfect_mcs_order(rows: Sequence[int]) -> list[int] | None:
-    """Maximum cardinality search visit order over the graph with the given
-    bitmask rows, or None when its reverse is not a perfect elimination
-    ordering.
+def _perfect_mcs_order(rows: Sequence[int], within: int) -> list[int] | None:
+    """Maximum cardinality search visit order over the vertices in the mask
+    within, which must hold every neighbour of each of its vertices, with
+    rows[v] the bitmask row of vertex v; or None when its reverse is not a
+    perfect elimination ordering.
 
     Each step visits an unvisited vertex adjacent to the most visited ones,
     smallest id on ties. buckets[k] masks the unvisited vertices adjacent to
@@ -246,14 +251,14 @@ def _perfect_mcs_order(rows: Sequence[int]) -> list[int] | None:
     vertex is checked as it is visited and the search stops at the first
     that fails.
     """
-    n = len(rows)
-    weight = [0] * n
-    parent = [0] * n  # the neighbour visited last so far
-    buckets = [(1 << n) - 1] + [0] * n
-    unvisited = (1 << n) - 1
+    steps = within.bit_count()
+    weight = [0] * len(rows)
+    parent = [0] * len(rows)  # the neighbour visited last so far
+    buckets = [within] + [0] * steps
+    unvisited = within
     top = 0
     out: list[int] = []
-    for _ in range(n):
+    for _ in range(steps):
         while not buckets[top]:
             top -= 1
         low = buckets[top] & -buckets[top]
@@ -286,29 +291,27 @@ def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
     it goes instead of trusting it.
 
     Isolated vertices neither change the answer nor constrain the ordering,
-    so the search and the check run on the rows of the other vertices
-    only, renumbered in ascending order. The isolated vertices are then
-    spliced into the visit order where MCS over all of g visits them: each
-    just before the first component start above it, or at the end, a
-    component start being a vertex that no earlier-visited vertex sees.
-    Whenever no visited vertex sees an unvisited one, MCS takes the
-    smallest unvisited vertex, so the order is the whole-graph one.
+    so the search and the check run on g's own rows over the mask of the
+    other vertices only. The isolated vertices are then spliced into the
+    visit order where MCS over all of g visits them: each just before the
+    first component start above it, or at the end, a component start being
+    a vertex that no earlier-visited vertex sees. Whenever no visited vertex
+    sees an unvisited one, MCS takes the smallest unvisited vertex, so the
+    order is the whole-graph one.
     """
-    active = [v for v, row in enumerate(g.bits) if row]
-    rows = _subgraph_rows(g, active)
-    visit = _perfect_mcs_order(rows)
+    visit = _perfect_mcs_order(g.bits, _mask((v for v, row in enumerate(g.bits) if row), g.n))
     if visit is None:
         return False, None
     isolated = [v for v, row in enumerate(g.bits) if not row]
     order: list[int] = []
     j = 0
     seen = 0
-    for i in visit:
-        if not rows[i] & seen:  # a component start
-            k = bisect_left(isolated, active[i], j)
+    for v in visit:
+        if not g.bits[v] & seen:  # a component start
+            k = bisect_left(isolated, v, j)
             order.extend(isolated[j:k])
             j = k
-        order.append(active[i])
-        seen |= 1 << i
+        order.append(v)
+        seen |= 1 << v
     order.extend(isolated[j:])
     return True, tuple(reversed(order))

@@ -137,8 +137,9 @@ def decode_graph(text: str) -> Graph:
 
 
 def encode_graph(g: Graph) -> str:
-    lines = [f"{g.n} {len(g.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
+    edges = g.edges
+    lines = [f"{g.n} {len(edges)}"]
+    lines.extend(f"{u} {v}" for u, v in edges)
     return "\n".join(lines) + "\n"
 
 

@@ -8,16 +8,17 @@ maximum-weight clique lifts back to a maximum clique of the input.
 
 That clique is found by weighted branch and bound over the quotient's
 bitmask rows, not by listing maximal cliques: a quotient built from few
-labels can have exponentially many of those. find_max_clique takes the
-search's rows, in degree order, from the input's rows in one pass.
+labels can have exponentially many of those. The search orders the
+classes by degree and builds its rows from the representatives' rows in
+one place, for find_max_clique and max_weight_quotient_clique alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .graph import Graph, _subgraph_rows, is_clique
+from .graph import Graph, _mask, _subgraph_rows, is_clique
 from .oracle import DEFAULT_NODE_BUDGET, SearchBudgetExceeded
 
 # Unused by the package: the search is bounded by its node budget alone, and
@@ -60,8 +61,7 @@ class QuotientGraph:
     """Weighted quotient: node k stands for partition class k, weight equals
     the class size, and an edge means every cross pair is an edge.
 
-    Adjacency is a plain Graph on the k class nodes, so it is kept once, as
-    bitmask rows; the sorted edge list is derived from them on first use.
+    Adjacency is a plain Graph on the k class nodes, kept as bitmask rows.
     """
     weights: tuple[int, ...]
     graph: Graph
@@ -69,10 +69,6 @@ class QuotientGraph:
     @property
     def k(self) -> int:
         return len(self.weights)
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return self.graph.edges
 
 
 def quotient_graph(g: Graph, partition: Partition) -> QuotientGraph:
@@ -104,19 +100,19 @@ def max_weight_quotient_clique(q: QuotientGraph,
     equal bounds from the lowest node, so its first clique of a given
     weight tends to be the lexicographically smallest one.
 
-    It runs on the classes renumbered by degree in one pass, highest first,
-    as Tomita and Seki's MCQ starts: high-degree classes colour first, so
-    the bounds are tight where the search branches. One search finds the
-    best weight and a witness clique of it. A scan then walks the classes
-    in index order (classes by smallest member), keeping each that extends
-    the classes kept so far to a clique of the best weight: a witness
-    member at once, any other class only when a search of its remaining
-    neighbours finds the rest, which becomes the witness. So ties go to the
-    lexicographically smallest index tuple. A search stops at its first
-    clique that reaches its target: the total weight for the first, the
-    best weight for the scan's. Each node coloured costs one unit of
-    node_budget; running out raises SearchBudgetExceeded. The budget is
-    the search's only limit, whatever the number of classes.
+    It runs on the classes renumbered by degree, highest first, as Tomita
+    and Seki's MCQ starts: high-degree classes colour first, so the bounds
+    are tight where the search branches. One search finds the best weight
+    and a witness clique of it. A scan then walks the classes in index order
+    (classes by smallest member), keeping each that extends the classes kept
+    so far to a clique of the best weight: a witness member at once, any
+    other class only when a search of its remaining neighbours finds the
+    rest, which becomes the witness. So ties go to the lexicographically
+    smallest index tuple. A search stops at its first clique that reaches
+    its target: the total weight for the first, the best weight for the
+    scan's. Each node coloured costs one unit of node_budget; running out
+    raises SearchBudgetExceeded. The budget is the search's only limit,
+    whatever the number of classes.
 
     clique, a known clique of class indices, is the incumbent: the first
     search starts from its weight, so it only searches for heavier cliques,
@@ -127,17 +123,23 @@ def max_weight_quotient_clique(q: QuotientGraph,
     clique = set(clique)
     if not is_clique(q.graph, clique):
         raise ValueError("incumbent is not a clique of the quotient")
-    perm = sorted(range(q.k), key=lambda c: -q.graph.degree(c))
-    weights = [q.weights[c] for c in perm]
-    return _weighted_search(_subgraph_rows(q.graph, perm), weights, perm, clique, node_budget)
+    return _weighted_search(q.graph, range(q.k), q.weights, clique, node_budget)
 
 
-def _weighted_search(rows: list[int], weights: list[int], perm: list[int],
+def _weighted_search(g: Graph, reps: Sequence[int], sizes: Sequence[int],
                      clique: set[int], node_budget: int) -> tuple[int, ...]:
-    """max_weight_quotient_clique's search: node i is class perm[i], with
-    rows[i] and weights[i]; clique is a clique of class indices."""
-    if not perm:
+    """max_weight_quotient_clique's search over the classes with
+    representatives reps in g and weights sizes, in class order; clique is
+    a clique of class indices. A class's quotient degree is its
+    representative's degree among reps; search node i is class perm[i] in
+    that order, and the rows are g's, restricted and renumbered to match.
+    """
+    if not reps:
         return ()
+    among = _mask(reps, g.n)
+    perm = sorted(range(len(reps)), key=lambda c: -(g.bits[reps[c]] & among).bit_count())
+    rows = _subgraph_rows(g, [reps[c] for c in perm])
+    weights = [sizes[c] for c in perm]
     budget = node_budget
     others = [~(row | (1 << v)) for v, row in enumerate(rows)]
 
@@ -262,10 +264,11 @@ def find_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
     vertex tuple.
 
     Partition, search the weighted quotient, then take the union of the
-    selected classes; the empty graph gives (). The search's rows are the
-    representatives' rows of g, restricted and put in the quotient's degree
-    order in one pass. It raises SearchBudgetExceeded beyond node_budget
-    search nodes, whatever the number of classes.
+    selected classes; the empty graph gives (). The search runs on the
+    class representatives' rows of g, as max_weight_quotient_clique runs
+    on the quotient's, so no QuotientGraph is built. It raises
+    SearchBudgetExceeded beyond node_budget search nodes, whatever the
+    number of classes.
 
     clique, a known clique of g such as a label's member set, warm-starts
     the search: the classes it meets form a clique of the quotient, whose
@@ -282,14 +285,8 @@ def find_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
     partition = closed_neighborhood_partition(g)
     if not clique:
         clique = set(_simplicial_start(g, partition))
-    reps = [cls[0] for cls in partition.classes]
-    packed = bytearray(g.n // 8 + 1)
-    for v in reps:
-        packed[v >> 3] |= 1 << (v & 7)
-    among = int.from_bytes(packed, "little")  # the representatives
-    perm = sorted(range(len(reps)), key=lambda c: -(g.bits[reps[c]] & among).bit_count())
-    met = {c for c, cls in enumerate(partition.classes) if not clique.isdisjoint(cls)}
-    rows = _subgraph_rows(g, [reps[c] for c in perm])
-    weights = [len(partition.classes[c]) for c in perm]
-    chosen = _weighted_search(rows, weights, perm, met, node_budget)
-    return tuple(sorted(v for c in chosen for v in partition.classes[c]))
+    classes = partition.classes
+    met = {c for c, cls in enumerate(classes) if not clique.isdisjoint(cls)}
+    chosen = _weighted_search(g, [cls[0] for cls in classes], [len(cls) for cls in classes],
+                              met, node_budget)
+    return tuple(sorted(v for c in chosen for v in classes[c]))

@@ -115,7 +115,7 @@ def subset_max_weight_cliques(q: QuotientGraph) -> list[tuple[int, ...]]:
     """Every maximum-weight clique of a weighted quotient, in lexicographic
     order, by checking every subset of its nodes; [()] when k = 0. Only
     sensible for k <= ~14."""
-    joined = set(q.edges)
+    joined = set(q.graph.edges)
     best_weight, best = 0, [()]
     for mask in range(1, 1 << q.k):
         nodes = tuple(c for c in range(q.k) if (mask >> c) & 1)
@@ -266,8 +266,8 @@ def check_quotient(g: Graph, partition: Partition, q: QuotientGraph) -> None:
     every cross pair agrees with its quotient edge."""
     classes = partition.classes
     assert q.weights == tuple(len(cls) for cls in classes), "weights differ from class sizes"
-    assert q.graph == build_graph(q.k, q.edges), "quotient rows differ from their edges"
-    joined = set(q.edges)
+    assert q.graph == build_graph(q.k, q.graph.edges), "quotient rows differ from their edges"
+    joined = set(q.graph.edges)
     for cls in classes:
         for u, v in combinations(cls, 2):
             assert has_edge(g, u, v), f"class {cls} is not a clique: missing edge ({u}, {v})"

@@ -83,7 +83,7 @@ def test_criterion_3_class_count_bound(acceptance):
                         [tuple(sorted(e)) for e in small.edges()])
         part = closed_neighborhood_partition(g)
         iota = exact_intersection_number(g)
-        non_isolated = sum(1 for cls in part.classes if g.degree(cls[0]) > 0)
+        non_isolated = sum(1 for cls in part.classes if g.bits[cls[0]])
         if non_isolated <= min(2 ** iota, g.n):
             within += 1
     acceptance(3, "class count bound", within == len(atlas) == 1252,

@@ -82,7 +82,7 @@ class TestSingleLabelKind:
 
     def test_oracle_refusal_becomes_error_row(self):
         cfg = ExperimentConfig("single_label", PRESETS["SL-100"], trials=2,
-                               seed=1, node_budget=1)
+                               seed=1, budget=1)
         stats = run_experiment(cfg)
         # in trial 0 the largest label is the answer, so its search closes
         # at the root; trial 1 needs more than one node
@@ -156,7 +156,7 @@ class TestSparseKind:
     def test_budget_zero_reports_unknown(self):
         # a dense rep certainly holds a cycle but zero steps cannot find it
         cfg = ExperimentConfig("sparse", resolve_params(n=12, m=6, p=0.9),
-                               trials=2, seed=0, cycle_budget=0)
+                               trials=2, seed=0, budget=0)
         stats = run_experiment(cfg)
         assert all(r["cycle_status"] == "unknown" for r in stats.rows)
         assert stats.summary["unknown_count"] == 2

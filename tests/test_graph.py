@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rigclique.graph
-from rigclique import (FormatError, GraphError, LabelRepresentation, build_graph,
+from rigclique import (FormatError, Graph, GraphError, LabelRepresentation, build_graph,
                        build_labels, closed_neighborhood_partition, decode_graph,
                        decode_labels, encode_graph, encode_labels, induced_graph,
                        is_chordal, is_clique, resolve_params, sample_label_representation)
 
 from helpers import (brute_chordal, complete_graph, has_chordless_cycle, has_edge,
-                     label_sets, random_graph, two_triangles, whole_graph_is_chordal)
+                     label_sets, mcs_order, random_graph, two_triangles,
+                     whole_graph_is_chordal)
 
 
 @st.composite
@@ -74,7 +75,7 @@ class TestBuildGraph:
     def test_repr_counts_edges_from_rows(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         assert repr(g) == "Graph(n=4, edges=3)"
-        assert g._edges is None  # the edge list is still underived
+        assert Graph.__slots__ == ("n", "bits")  # no edge list is kept beside the rows
 
 
 class TestLabelRepresentation:
@@ -279,8 +280,9 @@ def test_subgraph_rows_blocks_stay_within_bound_in_any_order(monkeypatch):
 
 
 class TestChordalOrderMatchesWholeGraphSearch:
-    """is_chordal searches only the vertices with an edge; its answer is
-    the tuple that maximum cardinality search over all of g gives."""
+    """is_chordal searches g's own rows over the mask of the vertices with
+    an edge; its answer is the tuple that maximum cardinality search over
+    all of g gives."""
 
     @pytest.mark.parametrize("n, edges", [
         (0, []),
@@ -294,10 +296,35 @@ class TestChordalOrderMatchesWholeGraphSearch:
         (10, [(1, 9), (2, 5), (5, 8), (4, 7)]),
         # a chordless 4-cycle beside isolated vertices
         (7, [(1, 2), (2, 4), (4, 5), (1, 5)]),
+        # isolated vertices 5..11 above the highest vertex with an edge
+        (12, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+        # isolated vertices 3..5 and 9 between components
+        (12, [(0, 1), (1, 2), (6, 7), (7, 8), (6, 8), (10, 11)]),
+        # MCS reaches the chordless 4-cycle 8-9-10-11 only after the
+        # triangle and the isolated run 3..7
+        (12, [(0, 1), (1, 2), (0, 2), (8, 9), (9, 10), (10, 11), (8, 11)]),
+        # the same cycle after the run, with a tree beyond it
+        (14, [(0, 1), (6, 8), (8, 9), (9, 7), (7, 6), (10, 12), (12, 13)]),
+        # rows far narrower than the mask: short paths spread over 300 ids
+        (300, [(0, 1), (1, 2), (140, 141), (297, 298), (298, 299)]),
     ])
     def test_small_graphs(self, n, edges):
         g = build_graph(n, edges)
         assert is_chordal(g) == whole_graph_is_chordal(g)
+
+    def test_mask_wider_than_every_row(self):
+        # over all n vertices, isolated ones included, the search is plain
+        # MCS over g: the top vertices have no edge, so the mask reaches
+        # beyond every row
+        rng = random.Random(23)
+        for _ in range(200):
+            n = rng.randint(1, 24)
+            low = rng.randint(0, n - 1)
+            edges = [(u, v) for u in range(low) for v in range(u + 1, low) if rng.random() < 0.3]
+            g = build_graph(n, edges)
+            chordal, _ = whole_graph_is_chordal(g)
+            visit = rigclique.graph._perfect_mcs_order(g.bits, (1 << n) - 1)
+            assert visit == (list(mcs_order(g)) if chordal else None)
 
     def test_random_graphs_with_isolated_vertices(self):
         rng = random.Random(17)

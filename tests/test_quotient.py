@@ -75,7 +75,7 @@ class TestQuotientGraph:
         q = quotient_graph(g, part)
         check_quotient(g, part, q)
         assert q.weights == (1, 2, 1)
-        assert q.edges == ((0, 1), (1, 2))
+        assert q.graph.edges == ((0, 1), (1, 2))
 
     def test_c4_is_its_own_quotient(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -83,7 +83,7 @@ class TestQuotientGraph:
         q = quotient_graph(g, part)
         check_quotient(g, part, q)
         assert q.weights == (1, 1, 1, 1)
-        assert q.edges == g.edges
+        assert q.graph.edges == g.edges
 
     def test_weights_sum_to_n(self):
         rng = random.Random(29)
@@ -179,9 +179,9 @@ class TestMaxWeightQuotientClique:
             q = random_quotient(rng, rng.randint(1, 40), rng.choice([0.1, 0.4, 0.7, 0.9]),
                                 rng.choice([1, 3, 20]))
             chosen = max_weight_quotient_clique(q)
-            joined = set(q.edges)
+            joined = set(q.graph.edges)
             assert all(pair in joined for pair in combinations(chosen, 2))
-            nxg = nx.Graph(q.edges)
+            nxg = nx.Graph(q.graph.edges)
             nxg.add_nodes_from(range(q.k))
             nx.set_node_attributes(nxg, dict(enumerate(q.weights)), "weight")
             _, weight = nx.max_weight_clique(nxg, weight="weight")
@@ -485,6 +485,6 @@ class TestQuotientSizeBound:
         for _ in range(150):
             g = random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.5, 0.8]))
             part = closed_neighborhood_partition(g)
-            nonisolated = sum(1 for cls in part.classes if g.degree(cls[0]) > 0)
+            nonisolated = sum(1 for cls in part.classes if g.bits[cls[0]])
             iota = exact_intersection_number(g)
             assert nonisolated <= min(2 ** iota, g.n)
