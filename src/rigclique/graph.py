@@ -8,7 +8,7 @@ the sorted edge list is derived from those rows on each use.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -59,41 +59,26 @@ class Graph:
 _BLOCK_CELLS = 1 << 24  # cells in one transient block: 16 MB of booleans
 
 
-def _pack_rows(widths: Sequence[int],
-               fill: Callable[[int, int, int], np.ndarray]) -> list[int]:
-    """Bitmask rows built from boolean blocks, column j of a block as bit j.
+def _block_height(width: int) -> int:
+    """Rows per transient block of the given width: as many as fit in
+    _BLOCK_CELLS cells, at least one."""
+    return max(_BLOCK_CELLS // width, 1)
 
-    Row i needs widths[i] >= 1 cells. Consecutive rows share a block while
-    rows times the widest of them stays within _BLOCK_CELLS (a wider row
-    gets a block of its own), so the transient cost follows the rows, not
-    the vertex count; when all rows fit, they are one block, planned
-    without the per-row loop. fill(start, stop, width) returns rows
-    start..stop-1 as a boolean array of stop - start rows and 0..width
-    columns. Each block is padded to whole bytes per row, at least one, and
+
+def _pack_rows(cells: np.ndarray) -> list[int]:
+    """Bitmask rows of a boolean block, column j as bit j.
+
+    Each row is padded to whole bytes, at least one, and the block is
     packed as one flat array, which numpy does far faster than packing
     along axis 1.
     """
-    rows: list[int] = []
-    widest = max(widths, default=0)
-    start = 0
-    while start < len(widths):
-        stop, width = start + 1, widths[start]
-        if len(widths) * widest <= _BLOCK_CELLS:
-            stop, width = len(widths), widest  # all rows fit in one block
-        while stop < len(widths) and (stop + 1 - start) * max(width, widths[stop]) <= _BLOCK_CELLS:
-            width = max(width, widths[stop])
-            stop += 1
-        cells = fill(start, stop, width)
-        step = max((cells.shape[1] + 7) // 8, 1)
-        if cells.shape[1] != 8 * step:
-            padded = np.zeros((stop - start, 8 * step), cells.dtype)
-            padded[:, :cells.shape[1]] = cells
-            cells = padded
-        data = np.packbits(cells.ravel(), bitorder="little").tobytes()
-        rows.extend(int.from_bytes(data[i:i + step], "little")
-                    for i in range(0, len(data), step))
-        start = stop
-    return rows
+    step = max((cells.shape[1] + 7) // 8, 1)
+    if cells.shape[1] != 8 * step:
+        padded = np.zeros((len(cells), 8 * step), cells.dtype)
+        padded[:, :cells.shape[1]] = cells
+        cells = padded
+    data = np.packbits(cells.ravel(), bitorder="little").tobytes()
+    return [int.from_bytes(data[i:i + step], "little") for i in range(0, len(data), step)]
 
 
 def _unpack_rows(rows: Sequence[int], width: int) -> np.ndarray:
@@ -188,9 +173,7 @@ def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
     for v in vs:
         if not (0 <= v < g.n):
             raise GraphError(f"vertex {v} out of range for n={g.n}")
-    mask = 0
-    for v in vs:
-        mask |= 1 << v
+    mask = _mask(vs, g.n)
     for v in vs:
         if (g.bits[v] & mask).bit_count() != len(vs) - 1:
             return False
@@ -212,26 +195,22 @@ def _subgraph_rows(g: Graph, vertices: Sequence[int]) -> list[int]:
     vertices[j] are adjacent. The quotient search passes its class
     representatives in degree order, quotient_graph in ascending order.
 
-    Blocks of the nonzero rows are unpacked to their bit_length() plus one
-    column, not to n; a kept vertex beyond reads that last column, which
-    is zero. Columns are taken up to the last kept vertex below the width,
-    in ascending order never more than the width, and packed again.
+    Only the nonzero rows are unpacked, in blocks, to the widest one's
+    bit_length() plus one column, not to n; a kept vertex at or beyond
+    that reads the last column, which is zero. Each block's kept columns
+    are taken and packed again.
     """
-    keep = np.array(vertices, dtype=np.intp)
     rows = [g.bits[v] for v in vertices]
     nonzero = [i for i, row in enumerate(rows) if row]
-    tops = np.array([rows[i].bit_length() for i in nonzero], dtype=np.intp)
-    reach = np.zeros(g.n + 1, np.intp)  # reach[t]: columns a row below 2**t needs
-    reach[keep + 1] = np.arange(1, len(keep) + 1)
-    np.maximum.accumulate(reach, out=reach)
-
-    def fill(start: int, stop: int, width: int) -> np.ndarray:
-        cells = _unpack_rows([rows[i] for i in nonzero[start:stop]], width)
-        return cells.take(np.minimum(keep[:reach[tops[start:stop].max()]], width - 1), axis=1)
-
+    top = max((rows[i].bit_length() for i in nonzero), default=0)
+    keep = np.minimum(np.array(vertices, dtype=np.intp), top)
+    height = _block_height(max(top + 1, len(keep)))
     out = [0] * len(rows)
-    for i, row in zip(nonzero, _pack_rows(np.maximum(tops + 1, reach[tops]).tolist(), fill)):
-        out[i] = row
+    for start in range(0, len(nonzero), height):
+        block = nonzero[start:start + height]
+        cells = _unpack_rows([rows[i] for i in block], top + 1).take(keep, axis=1)
+        for i, row in zip(block, _pack_rows(cells)):
+            out[i] = row
     return out
 
 

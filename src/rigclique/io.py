@@ -21,8 +21,8 @@ import re
 
 import numpy as np
 
-from .graph import (Graph, LabelRepresentation, _members, _pack_rows, build_graph,
-                    build_labels)
+from .graph import (Graph, LabelRepresentation, _block_height, _members, _pack_rows,
+                    build_graph, build_labels)
 
 _CANONICAL_HEADER = re.compile(rb"([0-9]{1,18}) ([0-9]{1,18})\n")
 _MAX_DIGITS = 18  # np.fromstring saturates longer tokens without a warning
@@ -60,8 +60,8 @@ def _decode_canonical(text: str) -> Graph | None:
     line holds one space between two tokens of 1..18 digits. After parsing,
     the popcounts of the rows sum to 2e only if there is no self-loop and
     no pair repeats in either order. No array is sized by n or sorted; the
-    rows that have an arc are packed in blocks as wide as their largest
-    neighbour.
+    rows that have an arc are packed in blocks as wide as the largest
+    endpoint plus one, as many rows to a block as _BLOCK_CELLS allows.
     """
     if not text.isascii():
         return None
@@ -94,20 +94,20 @@ def _decode_canonical(text: str) -> Graph | None:
     has_arc = last >= 0
     active = np.flatnonzero(has_arc)
     rank = np.cumsum(has_arc) - 1  # position of each vertex among active
-
-    def fill(start: int, stop: int, width: int) -> np.ndarray:
-        block = np.zeros((stop - start, width), dtype=bool)
-        if stop - start == len(active):  # every arc lands in this block
+    width = top + 1
+    height = _block_height(width)
+    rows: list[int] = []
+    for start in range(0, len(active), height):
+        block = np.zeros((min(height, len(active) - start), width), dtype=bool)
+        if len(block) == len(active):  # every arc lands in this block
             block[rank[u], v] = True
             block[rank[v], u] = True
-            return block
-        lo, hi = active[start], active[stop - 1]
-        for a, b in ((u, v), (v, u)):
-            arcs = (a >= lo) & (a <= hi)
-            block.reshape(-1)[(rank[a[arcs]] - start) * width + b[arcs]] = True
-        return block
-
-    rows = _pack_rows((last[active] + 1).tolist(), fill)
+        else:
+            lo, hi = active[start], active[start + len(block) - 1]
+            for a, b in ((u, v), (v, u)):
+                arcs = (a >= lo) & (a <= hi)
+                block.reshape(-1)[(rank[a[arcs]] - start) * width + b[arcs]] = True
+        rows.extend(_pack_rows(block))
     if sum(map(int.bit_count, rows)) != 2 * e:
         return None  # a self-loop, or a pair repeated in either order
     bits = [0] * n

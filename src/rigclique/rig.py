@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import LabelRepresentation, _members
+from .graph import LabelRepresentation, _members, _pack_rows
 
 MAX_SEED = 2**64 - 1
 
@@ -92,13 +92,10 @@ def sample_membership(params: RigParams, seed: int, trial: int = 0) -> np.ndarra
 def sample_label_representation(params: RigParams, seed: int,
                                 trial: int = 0) -> LabelRepresentation:
     """Sample one label representation from the trial's stream: column i
-    of the membership matrix, packed little-endian, is the mask of label i.
-    The columns are copied to contiguous rows first, which numpy packs far
-    faster than the transposed view."""
-    columns = np.packbits(np.ascontiguousarray(sample_membership(params, seed, trial).T),
-                          axis=1, bitorder="little")
-    return LabelRepresentation(params.n, params.m,
-                               tuple(int.from_bytes(row.tobytes(), "little") for row in columns))
+    of the membership matrix is the mask of label i. The columns are
+    copied to contiguous rows and packed through _pack_rows."""
+    columns = np.ascontiguousarray(sample_membership(params, seed, trial).T)
+    return LabelRepresentation(params.n, params.m, tuple(_pack_rows(columns)))
 
 
 def max_clique_from_labels(rep: LabelRepresentation) -> tuple[int, ...]:

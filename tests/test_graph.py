@@ -254,12 +254,9 @@ def test_subgraph_rows_blocks_stay_within_bound_in_any_order(monkeypatch):
         unpacked.append(block.shape)
         return block
 
-    def recording_pack(widths, fill):
-        def recording_fill(start, stop, width):
-            block = fill(start, stop, width)
-            packed.append(block.shape)
-            return block
-        return pack(widths, recording_fill)
+    def recording_pack(cells):
+        packed.append(cells.shape)
+        return pack(cells)
 
     monkeypatch.setattr(rigclique.graph, "_unpack_rows", recording_unpack)
     monkeypatch.setattr(rigclique.graph, "_pack_rows", recording_pack)

@@ -100,31 +100,21 @@ def test_small_blocks_give_same_rows(monkeypatch):
         assert decode_graph(encode_graph(g)) == g
 
 
-# a row wider than a 64-cell block sits between narrow ones
-PACK_WIDTHS = [[1], [5, 3, 8], [3, 5, 200, 2, 7, 64, 65, 1], [9] * 20]
+# column counts of one block each: a block wider than 64 cells sits
+# between narrow ones, and blocks of 0 columns and around one byte
+PACK_WIDTHS = [[1], [5, 3, 8], [3, 5, 200, 2, 7, 64, 65, 1], [9] * 20, [0, 7, 8, 9]]
 
 
 @pytest.mark.parametrize("widths", PACK_WIDTHS)
-def test_pack_rows_same_rows_at_any_block_size(monkeypatch, widths):
+def test_pack_rows_same_rows_at_any_block_size(widths):
     rng = random.Random(len(widths))
-    want = [rng.getrandbits(w) | 1 << (w - 1) for w in widths]
-
-    def fill(start, stop, width):
-        blocks.append((start, stop, width))
-        return np.array([[(row >> j) & 1 for j in range(width)] for row in want[start:stop]],
-                        dtype=bool)
-
-    for cells in (64, 1 << 40):
-        monkeypatch.setattr(rigclique.graph, "_BLOCK_CELLS", cells)
-        blocks = []
-        assert rigclique.graph._pack_rows(widths, fill) == want
-        # consecutive blocks tile the rows in order
-        assert [start for start, _, _ in blocks] == [0] + [stop for _, stop, _ in blocks[:-1]]
-        assert blocks[-1][1] == len(widths)
-        for start, stop, width in blocks:
-            assert width == max(widths[start:stop])
-            assert stop - start == 1 or (stop - start) * width <= cells
-    assert blocks == [(0, len(widths), max(widths))]
+    for rows, columns in [(0, max(widths))] + [(rng.randint(1, 5), w) for w in widths]:
+        want = [rng.getrandbits(columns) for _ in range(rows)]
+        if rows and columns:
+            want[0] |= 1 << (columns - 1)  # the highest column is set
+        cells = np.array([[(row >> j) & 1 for j in range(columns)] for row in want],
+                         dtype=bool).reshape(rows, columns)
+        assert rigclique.graph._pack_rows(cells) == want
 
 
 def _refuse(*args):
