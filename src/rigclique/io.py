@@ -88,10 +88,9 @@ def _decode_canonical(text: str) -> Graph | None:
     top = int(pairs.max())
     if top >= n:
         return None
-    last = np.full(top + 1, -1)  # largest neighbour, -1 if none
-    np.maximum.at(last, u, v)
-    np.maximum.at(last, v, u)
-    has_arc = last >= 0
+    has_arc = np.zeros(top + 1, dtype=bool)
+    has_arc[u] = True
+    has_arc[v] = True
     active = np.flatnonzero(has_arc)
     rank = np.cumsum(has_arc) - 1  # position of each vertex among active
     width = top + 1

@@ -32,7 +32,12 @@ def exact_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[
     a witness clique from the whole vertex set: candidates are greedily
     colored, each color peeled from the highest id down, and tried from the
     highest color down, the lowest id first within a color, until size plus
-    color cannot beat the best. A scan then walks the vertices in id order,
+    color cannot beat the best. A candidate set colored with one color per
+    vertex is a clique, so its node is a leaf: each vertex's peel removed
+    every candidate after it, so each is adjacent to all later ones, and the
+    set joined to the branch vertices above it is the largest clique below.
+    A dive into one label thus costs one node, not one per vertex. A scan
+    then walks the vertices in id order,
     keeping each that extends the vertices kept so far to a maximum clique:
     a witness member at once, any other vertex only when a search of its
     remaining neighbours finds the rest, which becomes the witness. A search
@@ -86,6 +91,15 @@ def exact_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[
             size, pmask, _, colored = frame
             if colored is None:
                 colored = frame[3] = color_sorted(pmask)
+                if colored and colored[-1][1] == len(colored):
+                    # one vertex per color: pmask is a clique, so a leaf
+                    if size + len(colored) > best:
+                        best = size + len(colored)
+                        witness = {u for u, _ in colored}.union(f[2] for f in stack[1:])
+                        if best >= target:
+                            break
+                    stack.pop()
+                    continue
             if not colored or size + colored[-1][1] <= best:
                 stack.pop()  # everything earlier has a color no higher
                 continue

@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigclique import (CYCLE_FOUND, CYCLE_NONE, CYCLE_UNKNOWN, Graph, LabeledCycle,
                        SearchBudgetExceeded, build_graph, build_labels,
@@ -41,6 +43,29 @@ def brute_intersection_number(g):
     raise AssertionError("edges cannot be covered")
 
 
+@st.composite
+def clique_rich_graphs(draw):
+    """Graphs on at most 12 vertices whose searches meet candidate sets that
+    are cliques below the root: near-complete graphs, complete multipartite
+    graphs, coronas and disjoint unions of cliques, with ids shuffled."""
+    kind = draw(st.sampled_from(["near-complete", "multipartite", "corona", "cliques"]))
+    if kind == "corona":
+        g = corona(draw(st.integers(1, 6)))
+        n, edges = g.n, g.edges
+    else:
+        n = draw(st.integers(1, 12))
+        pairs = list(combinations(range(n), 2))
+        if kind == "near-complete":
+            missing = draw(st.sets(st.sampled_from(pairs), max_size=3)) if pairs else set()
+            edges = [e for e in pairs if e not in missing]
+        else:  # a part per vertex; parts are joined, or each part is a clique
+            part = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+            joined = kind == "multipartite"
+            edges = [(u, v) for u, v in pairs if (part[u] != part[v]) == joined]
+    where = draw(st.permutations(range(n)))
+    return build_graph(n, [(where[u], where[v]) for u, v in edges])
+
+
 class TestExactMaxClique:
     def test_cycle5(self):
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -66,35 +91,60 @@ class TestExactMaxClique:
             assert exact_max_clique(g) == subset_max_clique(g)
 
     def test_budget_refusal(self):
-        g = complete_graph(30)
+        # K_{2x15} colors two vertices per color at every node, so no
+        # candidate set is a clique and its dive takes 15 nodes
+        n = 30
+        full = (1 << n) - 1
+        g = Graph(n, tuple(full ^ (1 << v) ^ (1 << (v ^ 1)) for v in range(n)))
         with pytest.raises(SearchBudgetExceeded, match="node budget"):
             exact_max_clique(g, node_budget=3)
+
+    def test_clique_root_is_one_node(self):
+        # the root's candidates are K30 itself, colored one vertex per
+        # color, so the root is a leaf
+        g = complete_graph(30)
+        assert exact_max_clique(g, node_budget=1) == tuple(range(30))
+        with pytest.raises(SearchBudgetExceeded, match="node budget 0"):
+            exact_max_clique(g, node_budget=0)
 
     def test_result_is_stable(self):
         g = random_graph(random.Random(5), 40, 0.5)
         assert exact_max_clique(g) == exact_max_clique(g)
 
-    @pytest.mark.parametrize("n, m, p, omega, nodes", [
-        (400, 10, 0.2, 91, 91),  # ladder rung L1: one dive; the scan takes it whole
-        (400, 6, 0.3, 126, 128),  # a single-label-dense trial: 127 nodes, then 1 in the scan
-        (2000, 10, 0.2, 435, 436),  # ladder rung L2
-    ], ids=["L1", "single-label-dense", "L2"])
-    def test_exact_node_count(self, n, m, p, omega, nodes):
+    @pytest.mark.parametrize("n, m, p, trial, omega, nodes", [
+        # ladder rung L1: a dive of 8 nodes, whose last candidates (83) are
+        # a clique; the scan takes the witness whole
+        (400, 10, 0.2, 0, 91, 9),
+        # a single-label-dense trial: the rule fires at depth 2 (124
+        # candidates), one more node at depth 1 and at the root's next
+        # color are bounded out, then 1 node in the scan
+        (400, 6, 0.3, 0, 126, 5),
+        # ladder rung L2: the rule fires at depth 1 (434 candidates), then
+        # 1 node in the scan
+        (2000, 10, 0.2, 0, 435, 3),
+        # overlapping labels (m * p^2 = 0.8): 48 nodes in the first search;
+        # a scan search fires the rule at depth 8 (6 candidates), which
+        # reaches its target, and stops there: 18 nodes in the scan
+        (50, 20, 0.2, 29, 15, 66),
+    ], ids=["L1", "single-label-dense", "L2", "overlapping-labels"])
+    def test_exact_node_count(self, n, m, p, trial, omega, nodes):
         g = induced_graph(sample_label_representation(
-            resolve_params(n=n, m=m, p=p), seed=1, trial=0))
+            resolve_params(n=n, m=m, p=p), seed=1, trial=trial))
         assert len(exact_max_clique(g, node_budget=nodes)) == omega
         with pytest.raises(SearchBudgetExceeded, match=f"node budget {nodes - 1}"):
             exact_max_clique(g, node_budget=nodes - 1)
 
 
     @pytest.mark.parametrize("graph, nodes", [
-        # one dive from the root to size 8
-        (complete_graph(8), 8),
-        # parts {0,1,2} and {3,4,5}, then 6, 7, 8: one dive from the root
-        (complete_multipartite([3, 3, 1, 1, 1]), 5),
-        # a dive through the K6 6..11; each pendant 0..5 has one neighbour
-        # left, too few to complete a clique of 6, so the scan searches none
-        (corona(6), 6),
+        # the root's candidates are a clique, so the rule fires there
+        (complete_graph(8), 1),
+        # parts {0,1,2} and {3,4,5}, then 6, 7, 8: the rule fires at depth
+        # 2, on the candidates {6, 7, 8}
+        (complete_multipartite([3, 3, 1, 1, 1]), 3),
+        # a dive into the K6 6..11; the rule fires at depth 2, on its last
+        # four vertices; each pendant 0..5 has one neighbour left, too few
+        # to complete a clique of 6, so the scan searches none
+        (corona(6), 3),
     ], ids=["K8", "K3,3,1,1,1", "corona-K6"])
     def test_phase_two_stops_at_a_clique(self, graph, nodes):
         assert exact_max_clique(graph, node_budget=nodes) == subset_max_clique(graph)
@@ -105,13 +155,21 @@ class TestExactMaxClique:
         # K_{2x300}: each vertex misses only its partner v ^ 1; the smallest
         # maximum clique takes the even member of each pair. Each color is
         # peeled from the highest id down, so the lowest id of a color is
-        # tried first and one dive finds that tuple: 300 nodes. Trying the
-        # highest first finds the odd members, and the scan then searches
-        # again for each pair, far beyond this budget.
+        # tried first and one dive finds that tuple: 300 nodes. Every set it
+        # colors, down to the last pair, holds both members of each pair,
+        # two vertices per color, so none is a clique and the dive takes
+        # one node per vertex. Trying the highest first finds the odd
+        # members, and the scan then searches again for each pair, far
+        # beyond this budget.
         n = 600
         full = (1 << n) - 1
         g = Graph(n, tuple(full ^ (1 << v) ^ (1 << (v ^ 1)) for v in range(n)))
         assert exact_max_clique(g, node_budget=300) == tuple(range(0, n, 2))
+
+    @given(g=clique_rich_graphs())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_clique_candidates_match_brute_force(self, g):
+        assert exact_max_clique(g) == subset_max_clique(g)
 
     def test_dense_graphs_match_brute_force(self):
         # dense graphs leave clique candidates often, so the early stop fires
