@@ -37,16 +37,16 @@ def exact_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[
     every candidate after it, so each is adjacent to all later ones, and the
     set joined to the branch vertices above it is the largest clique below.
     A dive into one label thus costs one node, not one per vertex. A scan
-    then walks the vertices in id order,
-    keeping each that extends the vertices kept so far to a maximum clique:
-    a witness member at once, any other vertex only when a search of its
-    remaining neighbours finds the rest, which becomes the witness. A search
-    stops at its first clique that reaches its target: all n vertices for
-    the first, a maximum clique for the scan's. Searches run on explicit
-    stacks, so depth is not limited by Python's recursion limit, and share
-    one node budget, charged once per node colored; exceeding it raises
-    SearchBudgetExceeded. There is no incumbent: the search stays a
-    reference independent of the labels and of the quotient solver.
+    then walks the vertices in id order, keeping each that extends the
+    vertices kept so far to a maximum clique: a witness member at once, any
+    other vertex only when a search of its remaining neighbours finds the
+    rest, which becomes the witness. A search stops at its first clique
+    that reaches its target: all n vertices for the first, a maximum clique
+    for the scan's. Searches run on explicit stacks, so depth is not limited
+    by Python's recursion limit, and share one node budget, charged once per
+    node colored; exceeding it raises SearchBudgetExceeded. There is no
+    incumbent: the search stays a reference independent of the labels and
+    of the quotient solver.
     """
     if g.n == 0:
         return ()

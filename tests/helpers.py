@@ -79,6 +79,12 @@ def corona(k: int) -> Graph:
     return build_graph(2 * k, edges)
 
 
+def cocktail_party(k: int) -> Graph:
+    """K_{2xk}: vertices 0..2k-1, each adjacent to all but its partner v ^ 1."""
+    full = (1 << 2 * k) - 1
+    return Graph(2 * k, tuple(full ^ (1 << v) ^ (1 << (v ^ 1)) for v in range(2 * k)))
+
+
 def two_triangles() -> Graph:
     # triangles {0,1,2} and {1,2,3} sharing the edge (1,2)
     return build_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])

@@ -11,7 +11,8 @@ from rigclique import (CYCLE_FOUND, CYCLE_NONE, CYCLE_UNKNOWN, Graph, LabeledCyc
                        exact_max_clique, find_distinct_label_cycle, induced_graph,
                        resolve_params, sample_label_representation)
 
-from helpers import (all_maximal_cliques, complete_graph, complete_multipartite, corona,
+from helpers import (all_maximal_cliques, cocktail_party, complete_graph,
+                     complete_multipartite, corona,
                      exact_intersection_number, exhaustive_labeled_cycle_exists,
                      list_label_cycle, mask_is_clique, random_graph, random_label_rep, subset_max_clique,
                      two_triangles)
@@ -93,9 +94,7 @@ class TestExactMaxClique:
     def test_budget_refusal(self):
         # K_{2x15} colors two vertices per color at every node, so no
         # candidate set is a clique and its dive takes 15 nodes
-        n = 30
-        full = (1 << n) - 1
-        g = Graph(n, tuple(full ^ (1 << v) ^ (1 << (v ^ 1)) for v in range(n)))
+        g = cocktail_party(15)
         with pytest.raises(SearchBudgetExceeded, match="node budget"):
             exact_max_clique(g, node_budget=3)
 
@@ -161,10 +160,8 @@ class TestExactMaxClique:
         # one node per vertex. Trying the highest first finds the odd
         # members, and the scan then searches again for each pair, far
         # beyond this budget.
-        n = 600
-        full = (1 << n) - 1
-        g = Graph(n, tuple(full ^ (1 << v) ^ (1 << (v ^ 1)) for v in range(n)))
-        assert exact_max_clique(g, node_budget=300) == tuple(range(0, n, 2))
+        g = cocktail_party(300)
+        assert exact_max_clique(g, node_budget=300) == tuple(range(0, 600, 2))
 
     @given(g=clique_rich_graphs())
     @settings(max_examples=300, deadline=None, derandomize=True)

@@ -17,8 +17,8 @@ from rigclique import (Graph, GraphError, Partition, QuotientGraph,
                        sample_label_representation)
 from rigclique.quotient import _simplicial_start
 
-from helpers import (check_quotient, class_of, closed_neighborhood, complete_graph,
-                     complete_multipartite, corona, exact_intersection_number,
+from helpers import (check_quotient, class_of, closed_neighborhood, cocktail_party,
+                     complete_graph, complete_multipartite, corona, exact_intersection_number,
                      label_members, largest_simplicial_clique, pairwise_partition,
                      quotient_rows_loop, random_graph, random_label_rep, random_quotient,
                      subset_max_clique, subset_max_weight_cliques, two_triangles)
@@ -220,8 +220,7 @@ class TestMaxWeightQuotientClique:
         # first finds the odd members, and the scan then searches again for
         # each pair, far beyond this budget.
         n = 2100
-        full = (1 << n) - 1
-        g = Graph(n, tuple(full ^ (1 << v) ^ (1 << (v ^ 1)) for v in range(n)))
+        g = cocktail_party(n // 2)
         q = quotient_graph(g, closed_neighborhood_partition(g))
         assert q.k == n
         chosen = max_weight_quotient_clique(q, node_budget=1050)
