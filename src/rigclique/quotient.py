@@ -37,18 +37,20 @@ class Partition:
     classes: tuple[tuple[int, ...], ...]
 
 
-def closed_neighborhood_partition(g: Graph) -> Partition:
-    """Partition vertices by closed neighborhood.
+def closed_neighborhood_partition(g: Graph, vertices: Iterable[int] | None = None) -> Partition:
+    """Partition vertices by closed neighborhood: the given ones, in
+    ascending order, or all of g's when vertices is None.
 
     The closed neighborhood is a canonical grouping key, so one pass
     suffices. It is keyed as its largest member beside the mask of the
     others, which is never wider than the vertex's row: N[v] as one mask
     would be v bits even for an isolated v, quadratic over all vertices.
     Scanning vertices in ascending order makes classes come out ordered by
-    their smallest member.
+    their smallest member. Given a set that holds each vertex's twins with
+    it, the classes are those of the whole partition that lie in the set.
     """
     groups: dict[tuple[int, int], list[int]] = {}
-    for v in range(g.n):
+    for v in range(g.n) if vertices is None else vertices:
         row = g.bits[v]
         top = max(row.bit_length() - 1, v)
         key = ((row | (1 << v)) ^ (1 << top), top) if top > v else (row, v)
@@ -228,20 +230,24 @@ def _weighted_search(g: Graph, reps: Sequence[int], sizes: Sequence[int],
     return tuple(chosen)
 
 
-def _simplicial_start(g: Graph, partition: Partition) -> list[int]:
+def _simplicial_start(g: Graph) -> list[int]:
     """The largest closed neighbourhood N[v] that is a clique, as its
     vertices, or [] when no vertex has one.
 
     N[v] is a clique iff every neighbour w has N[w] ⊇ N[v], which is one
     AND and one popcount per neighbour; a try stops at the first neighbour
-    that fails. Class representatives are tried by degree, highest first,
-    the lowest vertex among equal degrees, and the first that passes wins.
-    Its N[v] is a union of classes, since a twin of a neighbour is a
-    neighbour too. When a label is a maximum clique, N[v] of a vertex that
-    holds only that label is the label, so the start reaches ω.
+    that fails. Vertices are tried by degree, highest first, the lowest
+    vertex among equal degrees, and the first that passes wins. That is
+    the start that trying one representative per class, its lowest
+    member, would give: twins share a degree, so a representative is tried
+    before its twins, and whether a try passes depends only on N[v], so
+    the first vertex to pass is a representative. Its N[v] is a union of
+    classes, since a twin of a neighbour is a neighbour too. When a label
+    is a maximum clique, N[v] of a vertex that holds only that label is
+    the label, so the start reaches ω.
     """
     bits = g.bits
-    for v in sorted((cls[0] for cls in partition.classes), key=lambda u: -bits[u].bit_count()):
+    for v in sorted(range(g.n), key=lambda u: -bits[u].bit_count()):
         row = bits[v]
         degree = row.bit_count()
         hood = row | 1 << v
@@ -278,14 +284,24 @@ def find_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
     maximum clique, N[v] of a vertex holding only that label is one. The
     answer is the same tuple with either start or none. A clique that is
     not one raises ValueError, and a vertex out of range GraphError.
+
+    Only the vertices whose degree + 1 reaches the start's size W are
+    partitioned and searched (degree pruning, as in Carraghan and Pardalos
+    1990). That is exact: every member of a clique of W or more vertices
+    has degree W - 1 or more, and every maximum clique has at least W.
+    Twins share a degree, so the kept vertices are whole classes, and
+    their classes keep the order of the full partition's; the tie rule
+    then picks the same clique.
     """
     clique = set(clique)
     if not is_clique(g, clique):
         raise ValueError("incumbent is not a clique of g")
-    partition = closed_neighborhood_partition(g)
     if not clique:
-        clique = set(_simplicial_start(g, partition))
-    classes = partition.classes
+        clique = set(_simplicial_start(g))
+    floor = len(clique) - 1
+    bits = g.bits
+    classes = closed_neighborhood_partition(
+        g, [v for v in range(g.n) if bits[v].bit_count() >= floor]).classes
     met = {c for c, cls in enumerate(classes) if not clique.isdisjoint(cls)}
     chosen = _weighted_search(g, [cls[0] for cls in classes], [len(cls) for cls in classes],
                               met, node_budget)

@@ -17,11 +17,12 @@ from rigclique import (Graph, GraphError, Partition, QuotientGraph,
                        sample_label_representation)
 from rigclique.quotient import _simplicial_start
 
-from helpers import (check_quotient, class_of, closed_neighborhood, cocktail_party,
-                     complete_graph, complete_multipartite, corona, exact_intersection_number,
-                     label_members, largest_simplicial_clique, pairwise_partition,
-                     quotient_rows_loop, random_graph, random_label_rep, random_quotient,
-                     subset_max_clique, subset_max_weight_cliques, two_triangles)
+from helpers import (all_maximal_cliques, check_quotient, class_of, closed_neighborhood,
+                     cocktail_party, complete_graph, complete_multipartite, corona,
+                     exact_intersection_number, label_members, largest_simplicial_clique,
+                     pairwise_partition, quotient_rows_loop, random_graph, random_label_rep,
+                     random_quotient, subset_max_clique, subset_max_weight_cliques,
+                     two_triangles)
 
 
 class TestPartition:
@@ -271,12 +272,13 @@ class TestFindMaxClique:
         assert len(clique) == len(exact_max_clique(g))
 
     # The simplicial start is a maximum clique on each, so the first search
-    # closes at its root; the rest are the scan's searches.
+    # closes at its root; the rest are the scan's searches, over the classes
+    # whose degree + 1 reaches the start's size.
     @pytest.mark.parametrize("n, m, p, nodes", [
         (400, 10, 0.2, 1),  # ladder rung L1: the scan takes the start whole
-        (400, 6, 0.3, 5),  # a single-label-dense trial: the root, then 4 in the scan
-        (2000, 10, 0.2, 3),  # ladder rung L2
-        (3000, 100, 0.02, 15),  # ladder rung L4
+        (400, 6, 0.3, 2),  # a single-label-dense trial: the root, then 1 in the scan
+        (2000, 10, 0.2, 2),  # ladder rung L2
+        (3000, 100, 0.02, 10),  # ladder rung L4
     ], ids=["L1", "single-label-dense", "L2", "L4"])
     def test_exact_node_count(self, n, m, p, nodes):
         g = induced_graph(sample_label_representation(resolve_params(n=n, m=m, p=p),
@@ -356,7 +358,9 @@ class TestIncumbent:
 
     @pytest.mark.parametrize("n, m, p, nodes", [
         (400, 10, 0.2, 1),  # ladder rung L1: the root; the scan takes the label whole
-        (400, 6, 0.3, 28),  # a single-label-dense trial: the root, then 27 in scan searches
+        # a single-label-dense trial: the root, then 24 in scan searches over
+        # the 51 of 103 classes that can reach the label
+        (400, 6, 0.3, 25),
     ], ids=["L1", "single-label-dense"])
     def test_largest_label_closes_phase_one_at_the_root(self, n, m, p, nodes):
         rep = sample_label_representation(resolve_params(n=n, m=m, p=p), seed=1, trial=0)
@@ -377,7 +381,7 @@ def blown_up(rng: random.Random, q: QuotientGraph) -> Graph:
 
 
 def simplicial_start(g: Graph) -> tuple[int, ...]:
-    return tuple(sorted(_simplicial_start(g, closed_neighborhood_partition(g))))
+    return tuple(sorted(_simplicial_start(g)))
 
 
 class TestSimplicialStart:
@@ -451,9 +455,10 @@ def fewest_nodes(solve) -> tuple[int, tuple[int, ...]]:
 
 
 class TestRowsFromG:
-    """find_max_clique builds its search rows from g's representatives, not
-    from the quotient; it must run the very search that
-    max_weight_quotient_clique runs on the quotient from the same start."""
+    """find_max_clique builds its search rows from g's representatives of
+    the classes it keeps, not from the quotient; it must run the very
+    search that max_weight_quotient_clique runs on the quotient of those
+    classes from the same start."""
 
     def test_same_search_as_on_the_quotient(self):
         rng = random.Random(83)
@@ -465,9 +470,10 @@ class TestRowsFromG:
             else:
                 g = induced_graph(random_label_rep(rng, rng.randint(1, 40), rng.randint(1, 6),
                                                    rng.choice([0.1, 0.3, 0.6])))
-            part = closed_neighborhood_partition(g)
+            start = set(_simplicial_start(g))
+            part = closed_neighborhood_partition(
+                g, [v for v in range(g.n) if g.bits[v].bit_count() + 1 >= len(start)])
             q = quotient_graph(g, part)
-            start = set(_simplicial_start(g, part))
             met = [c for c, cls in enumerate(part.classes) if not start.isdisjoint(cls)]
             nodes, answer = fewest_nodes(lambda budget: find_max_clique(g, budget))
             q_nodes, chosen = fewest_nodes(
@@ -476,6 +482,62 @@ class TestRowsFromG:
             assert answer == tuple(sorted(v for c in chosen for v in part.classes[c]))
             branched += nodes > 1
         assert branched >= 100
+
+
+@st.composite
+def sparse_label_reps(draw):
+    """Label representations on at most 12 vertices where each vertex holds
+    at most two of up to five labels, so isolated vertices, pendants and
+    vertices too low in degree to reach the largest clique are common."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 5))
+    sets = [draw(st.sets(st.integers(0, m - 1), max_size=2)) for _ in range(n)]
+    return build_labels(n, m, sets)
+
+
+class TestDegreeFloor:
+    """find_max_clique partitions and searches only the vertices whose
+    degree + 1 reaches its start's size."""
+
+    def test_isolated_vertices_are_not_searched(self):
+        # The path 0 - 49999 - 1 among 50,000 vertices: the start is {0, 49999},
+        # so only the path's three vertices are searched. Searching every
+        # vertex peaked at 174 MB here, as each class's mask of non-neighbours
+        # is as wide as its index.
+        n = 50_000
+        g = build_graph(n, [(0, n - 1), (n - 1, 1)])
+        tracemalloc.start()
+        try:
+            answer = find_max_clique(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert answer == (0, n - 1)
+        assert peak < 16 * 2**20
+
+    def test_partition_of_twin_closed_vertices(self):
+        # a union of whole classes partitions into exactly those classes
+        rng = random.Random(89)
+        for trial in range(200):
+            if trial % 2:
+                g = blown_up(rng, random_quotient(rng, rng.randint(1, 10),
+                                                  rng.choice([0.2, 0.5, 0.8]), 3))
+            else:
+                g = random_graph(rng, rng.randint(0, 20), rng.choice([0.1, 0.4, 0.8]))
+            whole = closed_neighborhood_partition(g).classes
+            kept = [cls for cls in whole if rng.random() < 0.5]
+            vs = sorted(v for cls in kept for v in cls)
+            assert closed_neighborhood_partition(g, vs).classes == tuple(kept)
+        assert closed_neighborhood_partition(g, range(g.n)) == closed_neighborhood_partition(g)
+
+    @given(rep=sparse_label_reps())
+    @settings(max_examples=150, deadline=None)
+    def test_any_start_matches_brute_force(self, rep):
+        g = induced_graph(rep)
+        answer = subset_max_clique(g)
+        assert find_max_clique(g) == answer
+        for clique in set(label_members(rep)) | all_maximal_cliques(g):
+            assert find_max_clique(g, clique=clique) == answer
 
 
 class TestQuotientSizeBound:
