@@ -524,11 +524,11 @@ class TestDegreeFloor:
                                                   rng.choice([0.2, 0.5, 0.8]), 3))
             else:
                 g = random_graph(rng, rng.randint(0, 20), rng.choice([0.1, 0.4, 0.8]))
-            whole = closed_neighborhood_partition(g).classes
-            kept = [cls for cls in whole if rng.random() < 0.5]
+            whole = closed_neighborhood_partition(g)
+            assert closed_neighborhood_partition(g, range(g.n)) == whole
+            kept = [cls for cls in whole.classes if rng.random() < 0.5]
             vs = sorted(v for cls in kept for v in cls)
             assert closed_neighborhood_partition(g, vs).classes == tuple(kept)
-        assert closed_neighborhood_partition(g, range(g.n)) == closed_neighborhood_partition(g)
 
     @given(rep=sparse_label_reps())
     @settings(max_examples=150, deadline=None)
