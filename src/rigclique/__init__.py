@@ -9,8 +9,7 @@ from .oracle import (CYCLE_FOUND, CYCLE_NONE, CYCLE_UNKNOWN, LabeledCycle,
                      SearchBudgetExceeded, check_labeled_cycle,
                      enumerate_maximal_cliques, exact_max_clique,
                      find_distinct_label_cycle)
-from .quotient import (Partition, QuotientGraph, closed_neighborhood_partition,
-                       find_max_clique, max_weight_quotient_clique, quotient_graph)
+from .quotient import Partition, closed_neighborhood_partition, find_max_clique
 from .reconstruct import ReconstructionResult, reconstruct_labels, reps_equivalent
 from .rig import (RigParams, max_clique_from_labels, resolve_params,
                   sample_label_representation, sample_membership, trial_rng)
@@ -24,8 +23,7 @@ __all__ = [
     "CYCLE_FOUND", "CYCLE_NONE", "CYCLE_UNKNOWN", "LabeledCycle",
     "SearchBudgetExceeded", "check_labeled_cycle", "enumerate_maximal_cliques",
     "exact_max_clique", "find_distinct_label_cycle",
-    "Partition", "QuotientGraph", "closed_neighborhood_partition", "find_max_clique",
-    "max_weight_quotient_clique", "quotient_graph",
+    "Partition", "closed_neighborhood_partition", "find_max_clique",
     "ReconstructionResult", "reconstruct_labels", "reps_equivalent",
     "RigParams", "max_clique_from_labels", "resolve_params",
     "sample_label_representation", "sample_membership", "trial_rng",

@@ -109,10 +109,13 @@ def _cmd_chordal(args: argparse.Namespace) -> int:
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
     g = decode_graph(_read(args.graph))
     params = _params(args, g.n)
+    # the truth file is checked first, so a bad one prints nothing to stdout
+    truth = None if args.labels is None else decode_labels(_read(args.labels))
+    if truth is not None and truth.n != g.n:
+        raise ValueError(f"vertex counts differ: {g.n} != {truth.n}")
     result = reconstruct_labels(g, params.m, params.p)
     print(f"valid {1 if result.valid else 0}")
-    if args.labels is not None:
-        truth = decode_labels(_read(args.labels))
+    if truth is not None:
         equivalent = (result.valid and result.rep is not None
                       and reps_equivalent(result.rep, truth))
         print(f"equivalent {1 if equivalent else 0}")

@@ -193,7 +193,7 @@ def _subgraph_rows(g: Graph, vertices: Sequence[int]) -> list[int]:
     """Rows of g restricted to vertices, distinct vertex ids in any order,
     and renumbered in that order: bit j of row i is set iff vertices[i] and
     vertices[j] are adjacent. The quotient search passes its class
-    representatives in degree order, quotient_graph in ascending order.
+    representatives in degree order, reconstruct in ascending order.
 
     Only the nonzero rows are unpacked, in blocks, to the widest one's
     bit_length() plus one column, not to n; a kept vertex at or beyond

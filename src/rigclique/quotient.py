@@ -10,7 +10,7 @@ That clique is found by weighted branch and bound over the quotient's
 bitmask rows, not by listing maximal cliques: a quotient built from few
 labels can have exponentially many of those. The search orders the
 classes by degree and builds its rows from the representatives' rows in
-one place, for find_max_clique and max_weight_quotient_clique alike.
+one place.
 """
 
 from __future__ import annotations
@@ -58,39 +58,11 @@ def closed_neighborhood_partition(g: Graph, vertices: Iterable[int] | None = Non
     return Partition(tuple(tuple(vs) for vs in groups.values()))
 
 
-@dataclass(frozen=True)
-class QuotientGraph:
-    """Weighted quotient: node k stands for partition class k, weight equals
-    the class size, and an edge means every cross pair is an edge.
-
-    Adjacency is a plain Graph on the k class nodes, kept as bitmask rows.
-    """
-    weights: tuple[int, ...]
-    graph: Graph
-
-    @property
-    def k(self) -> int:
-        return len(self.weights)
-
-
-def quotient_graph(g: Graph, partition: Partition) -> QuotientGraph:
-    """Collapse each class to one weighted node.
-
-    Cross-class adjacency is read off one representative per class, which is
-    sound because cross edges are all-or-nothing: the row of class a has bit
-    b set iff the representatives of a and b are adjacent in g. Classes are
-    in representative order, so the quotient rows are the rows of g
-    restricted to the representatives.
-    """
-    classes = partition.classes
-    rows = _subgraph_rows(g, [cls[0] for cls in classes])
-    return QuotientGraph(tuple(len(cls) for cls in classes), Graph(len(classes), tuple(rows)))
-
-
-def max_weight_quotient_clique(q: QuotientGraph,
-                               node_budget: int = DEFAULT_NODE_BUDGET,
-                               clique: Iterable[int] = ()) -> tuple[int, ...]:
-    """Maximum-weight clique of the quotient, as sorted class indices.
+def _weighted_search(g: Graph, reps: Sequence[int], sizes: Sequence[int],
+                     clique: set[int], node_budget: int) -> tuple[int, ...]:
+    """Maximum-weight clique of the quotient whose classes have the
+    representatives reps in g and the weights sizes, in class order, as
+    sorted class indices.
 
     Branch and bound over bitmask rows, on an explicit stack. The upper
     bound is greedy colouring with weight splitting: peel one greedy
@@ -104,37 +76,25 @@ def max_weight_quotient_clique(q: QuotientGraph,
 
     It runs on the classes renumbered by degree, highest first, as Tomita
     and Seki's MCQ starts: high-degree classes colour first, so the bounds
-    are tight where the search branches. One search finds the best weight
-    and a witness clique of it. A scan then walks the classes in index order
-    (classes by smallest member), keeping each that extends the classes kept
-    so far to a clique of the best weight: a witness member at once, any
-    other class only when a search of its remaining neighbours finds the
-    rest, which becomes the witness. So ties go to the lexicographically
-    smallest index tuple. A search stops at its first clique that reaches
-    its target: the total weight for the first, the best weight for the
-    scan's. Each node coloured costs one unit of node_budget; running out
-    raises SearchBudgetExceeded. The budget is the search's only limit,
-    whatever the number of classes.
-
-    clique, a known clique of class indices, is the incumbent: the first
-    search starts from its weight, so it only searches for heavier cliques,
-    and closes at the root when the root's bound is no higher. The answer
-    is the same tuple with or without it. A clique that is not one raises
-    ValueError, and an index out of range GraphError.
-    """
-    clique = set(clique)
-    if not is_clique(q.graph, clique):
-        raise ValueError("incumbent is not a clique of the quotient")
-    return _weighted_search(q.graph, range(q.k), q.weights, clique, node_budget)
-
-
-def _weighted_search(g: Graph, reps: Sequence[int], sizes: Sequence[int],
-                     clique: set[int], node_budget: int) -> tuple[int, ...]:
-    """max_weight_quotient_clique's search over the classes with
-    representatives reps in g and weights sizes, in class order; clique is
-    a clique of class indices. A class's quotient degree is its
+    are tight where the search branches. A class's quotient degree is its
     representative's degree among reps; search node i is class perm[i] in
     that order, and the rows are g's, restricted and renumbered to match.
+    One search finds the best weight and a witness clique of it. A scan
+    then walks the classes in index order, keeping each that extends the
+    classes kept so far to a clique of the best weight: a witness member at
+    once, any other class only when a search of its remaining neighbours
+    finds the rest, which becomes the witness. So ties go to the
+    lexicographically smallest index tuple. A search stops at its first
+    clique that reaches its target: the total weight for the first, the
+    best weight for the scan's. Each node coloured costs one unit of
+    node_budget; running out raises SearchBudgetExceeded. The budget is the
+    search's only limit, whatever the number of classes.
+
+    clique, a clique of class indices, is the incumbent: the first search
+    starts from its weight, so it only searches for heavier cliques, and
+    closes at the root when the root's bound is no higher. The answer is
+    the same tuple with or without it. The caller checks that it is a
+    clique.
     """
     if not reps:
         return ()
@@ -271,10 +231,9 @@ def find_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
 
     Partition, search the weighted quotient, then take the union of the
     selected classes; the empty graph gives (). The search runs on the
-    class representatives' rows of g, as max_weight_quotient_clique runs
-    on the quotient's, so no QuotientGraph is built. It raises
-    SearchBudgetExceeded beyond node_budget search nodes, whatever the
-    number of classes.
+    class representatives' rows of g, so no quotient graph is built. It
+    raises SearchBudgetExceeded beyond node_budget search nodes, whatever
+    the number of classes.
 
     clique, a known clique of g such as a label's member set, warm-starts
     the search: the classes it meets form a clique of the quotient, whose

@@ -13,9 +13,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .graph import Graph, LabelRepresentation, induced_graph
+from .graph import Graph, LabelRepresentation, _subgraph_rows, induced_graph
 from .oracle import enumerate_maximal_cliques
-from .quotient import closed_neighborhood_partition, quotient_graph
+from .quotient import closed_neighborhood_partition
 
 
 @dataclass(frozen=True)
@@ -40,20 +40,22 @@ def reconstruct_labels(g: Graph, m: int, p: float) -> ReconstructionResult:
     still-uncovered edges, preferring larger then lexicographically earlier
     cliques on ties.
 
-    The maximal cliques are enumerated on the closed-neighborhood quotient
-    and each is lifted to the sorted union of its classes. Vertices with
-    equal closed neighborhoods lie in the same maximal cliques, so this is
-    a one-to-one map onto the maximal cliques of g: the candidates, their
-    count and the enumeration budget are those of g itself.
+    The maximal cliques are enumerated on the closed-neighborhood quotient,
+    whose rows are g's rows of the class representatives, restricted to
+    them (cross-class edges are all-or-nothing), and each is lifted to the
+    sorted union of its classes. Vertices with equal closed neighborhoods
+    lie in the same maximal cliques, so this is a one-to-one map onto the
+    maximal cliques of g: the candidates, their count and the enumeration
+    budget are those of g itself.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must be strictly between 0 and 1, got {p}")
-    partition = closed_neighborhood_partition(g)
-    classes = partition.classes
+    classes = closed_neighborhood_partition(g).classes
+    quotient = Graph(len(classes), tuple(_subgraph_rows(g, [cls[0] for cls in classes])))
     candidates = [tuple(sorted(v for c in clique for v in classes[c]))
-                  for clique in enumerate_maximal_cliques(quotient_graph(g, partition).graph)]
+                  for clique in enumerate_maximal_cliques(quotient)]
     expected = g.n * p
     if g.n >= 1:
         floor = expected - 3.0 * math.sqrt(expected * math.log(g.n))

@@ -16,9 +16,9 @@ import random
 from functools import lru_cache
 from itertools import combinations, permutations
 from pathlib import Path
+from typing import NamedTuple
 
-from rigclique import (Graph, LabelRepresentation, Partition, QuotientGraph, build_graph,
-                       build_labels)
+from rigclique import Graph, LabelRepresentation, Partition, build_graph, build_labels
 from rigclique.oracle import (CYCLE_FOUND, CYCLE_NONE, CYCLE_UNKNOWN, LabeledCycle,
                               enumerate_maximal_cliques)
 
@@ -109,6 +109,17 @@ def subset_max_clique(g: Graph) -> tuple[int, ...]:
         if mask.bit_count() == best_size and mask_is_clique(g, mask):
             winners.append(tuple(v for v in range(g.n) if (mask >> v) & 1))
     return min(winners)
+
+
+class QuotientGraph(NamedTuple):
+    """Weighted quotient: node k stands for partition class k, weight equals
+    the class size, and an edge means every cross pair is an edge."""
+    weights: tuple[int, ...]
+    graph: Graph
+
+    @property
+    def k(self) -> int:
+        return len(self.weights)
 
 
 def random_quotient(rng: random.Random, k: int, p: float, max_weight: int) -> QuotientGraph:

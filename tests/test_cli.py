@@ -13,8 +13,8 @@ import sys
 import pytest
 
 import rigclique.cli
-from rigclique import (build_graph, decode_graph, decode_labels, encode_graph, induced_graph,
-                       is_clique, resolve_params, sample_label_representation)
+from rigclique import (build_graph, decode_graph, decode_labels, encode_graph, encode_labels,
+                       induced_graph, is_clique, resolve_params, sample_label_representation)
 
 from helpers import ROOT, checkout_env
 
@@ -174,6 +174,21 @@ class TestReconstruct:
         proc = run_cli("reconstruct", "--graph", "g.txt", "--m", "2", "--p", "0",
                        cwd=tmp_path)
         assert proc.returncode == 1
+
+    def test_truth_of_another_vertex_count_prints_nothing(self, tmp_path):
+        # the truth file is checked before reconstructing, so the error
+        # leaves stdout empty and no recovered labels are written
+        params = resolve_params(n=30, m=5, p=0.3)
+        (tmp_path / "g.txt").write_text(
+            encode_graph(induced_graph(sample_label_representation(params, seed=1))))
+        (tmp_path / "l.txt").write_text(encode_labels(
+            sample_label_representation(resolve_params(n=20, m=5, p=0.3), seed=1)))
+        proc = run_cli("reconstruct", "--graph", "g.txt", "--m", "5", "--p", "0.3",
+                       "--labels", "l.txt", "--out-labels", "rec.txt", cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: vertex counts differ: 30 != 20\n"
+        assert not (tmp_path / "rec.txt").exists()
 
 
 class TestExperiment:

@@ -9,20 +9,41 @@ import rigclique.graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigclique import (Graph, GraphError, Partition, QuotientGraph,
-                       SearchBudgetExceeded, build_graph, build_labels,
-                       closed_neighborhood_partition, exact_max_clique, find_max_clique,
-                       induced_graph, is_clique, max_clique_from_labels,
-                       max_weight_quotient_clique, quotient_graph, resolve_params,
-                       sample_label_representation)
-from rigclique.quotient import _simplicial_start
+from rigclique import (Graph, GraphError, Partition, SearchBudgetExceeded, build_graph,
+                       build_labels, closed_neighborhood_partition, exact_max_clique,
+                       find_max_clique, induced_graph, is_clique, max_clique_from_labels,
+                       resolve_params, sample_label_representation)
+from rigclique.graph import _subgraph_rows
+from rigclique.oracle import DEFAULT_NODE_BUDGET
+from rigclique.quotient import _simplicial_start, _weighted_search
 
-from helpers import (all_maximal_cliques, check_quotient, class_of, closed_neighborhood,
-                     cocktail_party, complete_graph, complete_multipartite, corona,
-                     exact_intersection_number, label_members, largest_simplicial_clique,
-                     pairwise_partition, quotient_rows_loop, random_graph, random_label_rep,
-                     random_quotient, subset_max_clique, subset_max_weight_cliques,
-                     two_triangles)
+from helpers import (QuotientGraph, all_maximal_cliques, check_quotient, class_of,
+                     closed_neighborhood, cocktail_party, complete_graph,
+                     complete_multipartite, corona, exact_intersection_number, label_members,
+                     largest_simplicial_clique, pairwise_partition, quotient_rows_loop,
+                     random_graph, random_label_rep, random_quotient, subset_max_clique,
+                     subset_max_weight_cliques, two_triangles)
+
+
+def quotient_graph(g: Graph, partition: Partition) -> QuotientGraph:
+    """Each class collapsed to one node weighted by its size. The rows are
+    g's rows of the class representatives, restricted to them, as
+    reconstruct_labels builds them: cross-class edges are all-or-nothing."""
+    classes = partition.classes
+    rows = _subgraph_rows(g, [cls[0] for cls in classes])
+    return QuotientGraph(tuple(len(cls) for cls in classes), Graph(len(classes), tuple(rows)))
+
+
+def max_weight_quotient_clique(q: QuotientGraph, node_budget: int = DEFAULT_NODE_BUDGET,
+                               clique=()) -> tuple[int, ...]:
+    """find_max_clique's search run on a quotient's own nodes: the
+    lexicographically smallest maximum-weight clique, as sorted node
+    indices, from the incumbent clique. A clique that is not one raises
+    ValueError."""
+    clique = set(clique)
+    if not is_clique(q.graph, clique):
+        raise ValueError("incumbent is not a clique of the quotient")
+    return _weighted_search(q.graph, range(q.k), q.weights, clique, node_budget)
 
 
 class TestPartition:
@@ -124,9 +145,9 @@ class TestQuotientGraph:
             assert quotient_graph(g, part).graph.bits == quotient_rows_loop(g, part)
 
     def test_isolated_vertices_stay_cheap(self):
-        # The path 0 - 199999 - 1 among 200,000 vertices. Both steps run
-        # before the class cap is checked; their peak stays far below any
-        # n x n buffer, and below one n-bit mask per vertex (2.5 GB).
+        # The path 0 - 199999 - 1 among 200,000 vertices, as reconstruct_labels
+        # partitions and collapses it: the peak stays far below any n x n
+        # buffer, and below one n-bit mask per vertex (2.5 GB).
         n = 200_000
         g = build_graph(n, [(0, n - 1), (n - 1, 1)])
         tracemalloc.start()

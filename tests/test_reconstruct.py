@@ -7,8 +7,8 @@ from rigclique import (PRESETS, LabelRepresentation, build_graph, build_labels,
                        induced_graph, reconstruct_labels, reps_equivalent,
                        sample_label_representation)
 
-from helpers import (greedy_pair_cover, label_members, label_sets, linear_scan_cover,
-                     random_label_rep)
+from helpers import (all_maximal_cliques, greedy_pair_cover, label_members, label_sets,
+                     linear_scan_cover, random_label_rep)
 
 
 class TestReconstructExamples:
@@ -108,7 +108,8 @@ class TestReconstructSoundness:
 
     def test_cover_matches_pair_set_reference(self):
         # small n keeps the size window open, so every maximal clique is a
-        # candidate and the cover must choose exactly what the reference does
+        # candidate and the cover must choose exactly what the reference does;
+        # the candidates lift one to one from the quotient's maximal cliques
         rng = random.Random(15)
         for _ in range(120):
             n = rng.randint(0, 11)
@@ -117,6 +118,7 @@ class TestReconstructSoundness:
             g = induced_graph(random_label_rep(rng, n, m, p))
             chosen, left = greedy_pair_cover(g, m)
             result = reconstruct_labels(g, m, p)
+            assert result.candidate_count == len(all_maximal_cliques(g))
             assert result.covered_edges == len(g.edges) - left
             if left:
                 assert result.rep is None
