@@ -114,13 +114,14 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     if truth is not None and truth.n != g.n:
         raise ValueError(f"vertex counts differ: {g.n} != {truth.n}")
     result = reconstruct_labels(g, params.m, params.p)
+    # written before anything is printed, so a failed write leaves stdout empty
+    if args.out_labels is not None and result.rep is not None:
+        _write(args.out_labels, encode_labels(result.rep))
     print(f"valid {1 if result.valid else 0}")
     if truth is not None:
         equivalent = (result.valid and result.rep is not None
                       and reps_equivalent(result.rep, truth))
         print(f"equivalent {1 if equivalent else 0}")
-    if args.out_labels is not None and result.rep is not None:
-        _write(args.out_labels, encode_labels(result.rep))
     return 0
 
 

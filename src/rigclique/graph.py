@@ -18,7 +18,16 @@ class GraphError(ValueError):
 
 
 def _members(mask: int) -> list[int]:
-    """Set bits of mask, ascending."""
+    """Set bits of mask, a nonnegative int, ascending, as a list of ints.
+
+    A mask with more than _DENSE_MEMBERS set bits is unpacked to bytes and
+    its set bits are found by numpy in one pass; a sparser one is walked a
+    low bit at a time, which costs less below that count. Both paths give
+    the same list.
+    """
+    if mask.bit_count() > _DENSE_MEMBERS:
+        data = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), np.uint8)
+        return np.flatnonzero(np.unpackbits(data, bitorder="little")).tolist()
     out: list[int] = []
     while mask:
         low = mask & -mask
@@ -57,6 +66,7 @@ class Graph:
 
 
 _BLOCK_CELLS = 1 << 24  # cells in one transient block: 16 MB of booleans
+_DENSE_MEMBERS = 24  # above this many set bits, _members unpacks with numpy
 
 
 def _block_height(width: int) -> int:
@@ -158,13 +168,21 @@ def induced_graph(rep: LabelRepresentation) -> Graph:
     """Graph with an edge wherever two vertices share at least one label.
 
     Each L_i contributes a clique: its mask is ORed into the row of every
-    member, and each labelled vertex's row then drops its own bit.
+    member, and each labelled vertex's row then drops its own bit. Only
+    the labelled vertices, the members of the union of the masks, are
+    visited; an unlabelled vertex keeps its empty row. The members of a
+    mask come from _members, whose dense and sparse paths give the same
+    list, so the rows do not depend on which path ran.
     """
     bits = [0] * rep.n
+    labelled = 0
     for mask in rep.masks:
+        labelled |= mask
         for v in _members(mask):
             bits[v] |= mask
-    return Graph(rep.n, tuple(row ^ (1 << v) if row else 0 for v, row in enumerate(bits)))
+    for v in _members(labelled):
+        bits[v] ^= 1 << v
+    return Graph(rep.n, tuple(bits))
 
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
@@ -249,12 +267,16 @@ def _perfect_mcs_order(rows: Sequence[int], within: int) -> list[int] | None:
             if rows[v] & ~unvisited & ~(rows[p] | 1 << p):
                 return None
         out.append(v)
-        for w in _members(rows[v] & unvisited):
+        rest = rows[v] & unvisited
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            w = bit.bit_length() - 1
             k = weight[w]
             weight[w] = k + 1
             parent[w] = v
-            buckets[k] ^= 1 << w
-            buckets[k + 1] |= 1 << w
+            buckets[k] ^= bit
+            buckets[k + 1] |= bit
         top += 1
     return out
 

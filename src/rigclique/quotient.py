@@ -50,11 +50,16 @@ def closed_neighborhood_partition(g: Graph, vertices: Iterable[int] | None = Non
     it, the classes are those of the whole partition that lie in the set.
     """
     groups: dict[tuple[int, int], list[int]] = {}
+    bits = g.bits
     for v in range(g.n) if vertices is None else vertices:
-        row = g.bits[v]
-        top = max(row.bit_length() - 1, v)
-        key = ((row | (1 << v)) ^ (1 << top), top) if top > v else (row, v)
-        groups.setdefault(key, []).append(v)
+        row = bits[v]
+        top = row.bit_length() - 1  # row's highest neighbour, -1 for none
+        key = (row ^ (1 << top) | (1 << v), top) if top > v else (row, v)
+        members = groups.get(key)
+        if members is None:
+            groups[key] = [v]
+        else:
+            members.append(v)
     return Partition(tuple(tuple(vs) for vs in groups.values()))
 
 
@@ -260,7 +265,7 @@ def find_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
     floor = len(clique) - 1
     bits = g.bits
     classes = closed_neighborhood_partition(
-        g, [v for v in range(g.n) if bits[v].bit_count() >= floor]).classes
+        g, [v for v, row in enumerate(bits) if row.bit_count() >= floor]).classes
     met = {c for c, cls in enumerate(classes) if not clique.isdisjoint(cls)}
     chosen = _weighted_search(g, [cls[0] for cls in classes], [len(cls) for cls in classes],
                               met, node_budget)

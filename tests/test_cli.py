@@ -190,6 +190,20 @@ class TestReconstruct:
         assert proc.stderr == "error: vertex counts differ: 30 != 20\n"
         assert not (tmp_path / "rec.txt").exists()
 
+    def test_failed_label_write_prints_nothing(self, tmp_path):
+        # the recovered labels are written before any result line, so a
+        # write that fails leaves stdout empty
+        params = resolve_params(n=30, m=5, p=0.3)
+        rep = sample_label_representation(params, seed=1)
+        (tmp_path / "g.txt").write_text(encode_graph(induced_graph(rep)))
+        (tmp_path / "l.txt").write_text(encode_labels(rep))
+        proc = run_cli("reconstruct", "--graph", "g.txt", "--m", "5", "--p", "0.3",
+                       "--labels", "l.txt", "--out-labels", "nodir/rec.txt", cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: [Errno 2] No such file or directory: "
+                               "'nodir/rec.txt'\n")
+
 
 class TestExperiment:
     ARGS = ("experiment", "concentration", "--n", "100", "--m", "10", "--p", "0.1",

@@ -10,7 +10,7 @@ from rigclique import (FormatError, Graph, GraphError, LabelRepresentation, buil
                        decode_labels, encode_graph, encode_labels, induced_graph,
                        is_chordal, is_clique, resolve_params, sample_label_representation)
 
-from helpers import (brute_chordal, complete_graph, has_chordless_cycle, has_edge,
+from helpers import (_set_bits, brute_chordal, complete_graph, has_chordless_cycle, has_edge,
                      label_sets, mcs_order, random_graph, two_triangles,
                      whole_graph_is_chordal)
 
@@ -114,6 +114,15 @@ class TestLabelRepresentation:
         assert all(mask >> n == 0 for mask in rep.masks)
 
 
+def spread_mask(count, width=2000):
+    """A mask of count set bits at random places below width."""
+    return sum(1 << v for v in random.Random(count).sample(range(width), count))
+
+
+DENSE = rigclique.graph._DENSE_MEMBERS
+RUN = (1 << (DENSE + 1)) - 1  # the lowest DENSE + 1 bits
+
+
 class TestInducedGraph:
     def test_shared_labels_make_edges(self):
         rep = build_labels(3, 2, [[0], [0, 1], [1]])
@@ -141,6 +150,49 @@ class TestInducedGraph:
         assert g == by_definition
         assert hash(g) == hash(by_definition)
         assert all((g.bits[v] >> v) & 1 == 0 for v in range(g.n))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edge_iff_sets_intersect_with_dense_labels(self, seed):
+        # labels of 60-120 members take _members' numpy path; one label sits
+        # just above the threshold, and some vertices hold no label
+        rng = random.Random(seed)
+        n, m = rng.randint(150, 300), 5
+        labelled = rng.sample(range(n), n - 10)
+        sets = [set() for _ in range(n)]
+        for i in range(m - 1):
+            for v in rng.sample(labelled, rng.randint(60, 120)):
+                sets[v].add(i)
+        for v in rng.sample(labelled, DENSE + 1):
+            sets[v].add(m - 1)
+        rep = build_labels(n, m, sets)
+        assert min(map(int.bit_count, rep.masks)) > DENSE
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if sets[u] & sets[v]]
+        assert induced_graph(rep) == build_graph(n, pairs)
+
+
+class TestMembers:
+    @pytest.mark.parametrize("mask", [
+        0, 1 << 37, 1, 1 << 9999, (1 << 10_000) - 1,
+        spread_mask(DENSE - 1), spread_mask(DENSE), spread_mask(DENSE + 1),
+        RUN, RUN << 5000,
+    ], ids=["zero", "single", "bit0", "top-bit", "ones-10000", "dense-1", "dense",
+            "dense+1", "low-run", "high-run"])
+    def test_equals_bit_loop(self, mask):
+        got = rigclique.graph._members(mask)
+        assert got == _set_bits(mask)
+        assert all(type(v) is int for v in got)
+
+    @pytest.mark.parametrize("dense", [0, 10 ** 9])
+    def test_both_paths_agree(self, monkeypatch, dense):
+        # each path forced in turn, on masks of every density near the threshold
+        monkeypatch.setattr(rigclique.graph, "_DENSE_MEMBERS", dense)
+        rng = random.Random(3)
+        for _ in range(200):
+            width = rng.randint(1, 3000)
+            mask = sum(1 << v for v in rng.sample(range(width), rng.randint(0, min(width, 60))))
+            got = rigclique.graph._members(mask)
+            assert got == _set_bits(mask)
+            assert all(type(v) is int for v in got)
 
 
 class TestIsClique:

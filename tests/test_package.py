@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -26,3 +27,35 @@ def test_benchmark_imports_resolve():
     proc = subprocess.run([sys.executable, "-B", "-c", "import workloads, spans, run"],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+# Passes 0-2 of each benchmark workload at the pins' seed, judged by the
+# workload's own check against its pins: clique numbers, CSV digests and
+# row statuses. Prints the failures as one JSON list.
+PINNED_PASSES = """
+import json, sys
+from pathlib import Path
+from workloads import WORKLOADS
+pins = json.loads(Path(sys.argv[1]).read_text())
+failures = []
+for name, cls in WORKLOADS.items():
+    workload = cls(Path.cwd())
+    for k in range(3):
+        job = workload.prepare(1, k)
+        bad, _ = workload.check(job, workload.execute(job, None), pins[name][k])
+        failures += [f | {"workload": name, "pass": k} for f in bad]
+print(json.dumps(failures))
+"""
+
+
+def test_benchmark_pins_hold(tmp_path):
+    # a change to any pinned CSV or stdout byte fails here, not only in a
+    # benchmark run; the child works in tmp_path, so the benchmark's
+    # directory gets no files
+    env = checkout_env()
+    env["PYTHONPATH"] = os.pathsep.join([env["PYTHONPATH"], str(ROOT / "perfbench")])
+    proc = subprocess.run([sys.executable, "-B", "-c", PINNED_PASSES,
+                           str(ROOT / "perfbench" / "pins.json")],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
