@@ -14,7 +14,7 @@ from functools import cache
 from pathlib import Path
 from typing import Callable
 
-from .experiments import KINDS, ExperimentConfig, run_experiment
+from .experiments import _BUDGET_KINDS, KINDS, ExperimentConfig, run_experiment
 from .graph import induced_graph, is_chordal
 from .io import decode_graph, decode_labels, encode_graph, encode_labels
 from .oracle import DEFAULT_NODE_BUDGET, exact_max_clique
@@ -140,6 +140,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     trials = _at_least(args, "trials", 1)
     jobs = _at_least(args, "jobs", 1)
     budget = _at_least(args, "budget", 0)
+    if budget is not None and args.kind not in _BUDGET_KINDS:
+        raise UsageError(f"--budget applies only to {' and '.join(_BUDGET_KINDS)}, "
+                         f"not {args.kind}")
     params = _params(args, args.n)
     cfg = ExperimentConfig(kind=args.kind, params=params, trials=trials,
                            seed=args.seed, budget=budget)
@@ -206,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--budget", type=int,
                             help="per-trial search budget override: quotient-search "
                                  "nodes for single_label, cycle-search steps "
-                                 "for sparse")
+                                 "for sparse; a usage error for the other kinds")
     experiment.set_defaults(func=_cmd_experiment)
     return parser
 

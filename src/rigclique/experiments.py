@@ -30,6 +30,7 @@ from .rig import (RigParams, max_clique_from_labels, resolve_params,
                   sample_label_representation, sample_membership)
 
 KINDS = ("single_label", "concentration", "sparse", "reconstruction")
+_BUDGET_KINDS = ("single_label", "sparse")  # the kinds that run a bounded search
 
 PRESETS = {
     "SL-100": resolve_params(n=100, m=10, p=0.15),
@@ -198,6 +199,9 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
         raise ValueError(f"trials must be >= 1, got {cfg.trials}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if cfg.budget is not None and cfg.kind not in _BUDGET_KINDS:
+        raise ValueError(f"a budget applies only to {' and '.join(_BUDGET_KINDS)}, "
+                         f"not {cfg.kind}")
     run = _TRIALS[cfg.kind]
     rows: list[dict[str, object]] = []
     workers = min(jobs, cfg.trials, os.cpu_count() or 1)

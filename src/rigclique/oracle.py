@@ -52,6 +52,9 @@ def exact_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[
         return ()
     bits = g.bits
     budget = node_budget
+    # ~bits[v] keeps v itself, so color_sorted clears v with one XOR. It is
+    # no wider than bits[v], where ~(bits[v] | 1 << v) would be v bits wide.
+    nots = [~row for row in bits]
 
     def color_sorted(pmask: int) -> list[tuple[int, int]]:
         # Charge one node, then greedily color the candidate set; output is
@@ -71,8 +74,9 @@ def exact_max_clique(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[
             while avail:
                 v = avail.bit_length() - 1
                 out.append((v, color))
-                avail &= ~(bits[v] | (1 << v))
-                rest ^= 1 << v
+                bit = 1 << v
+                avail = (avail ^ bit) & nots[v]
+                rest ^= bit
         return out
 
     witness: set[int] = set()

@@ -15,10 +15,12 @@ one place.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
-from .graph import Graph, _mask, _subgraph_rows, is_clique
+from .graph import Graph, GraphError, _mask, _members, _subgraph_rows, is_clique
 from .oracle import DEFAULT_NODE_BUDGET, SearchBudgetExceeded
 
 # Unused by the package: the search is bounded by its node budget alone, and
@@ -48,10 +50,19 @@ def closed_neighborhood_partition(g: Graph, vertices: Iterable[int] | None = Non
     Scanning vertices in ascending order makes classes come out ordered by
     their smallest member. Given a set that holds each vertex's twins with
     it, the classes are those of the whole partition that lie in the set.
+    A vertex out of range, repeated or out of ascending order raises
+    GraphError; the check rides in the same pass.
     """
     groups: dict[tuple[int, int], list[int]] = {}
     bits = g.bits
-    for v in range(g.n) if vertices is None else vertices:
+    n = g.n
+    last = -1
+    for v in range(n) if vertices is None else vertices:
+        if not last < v < n:
+            if not 0 <= v < n:
+                raise GraphError(f"vertex {v} out of range for n={n}")
+            raise GraphError(f"vertex {v} repeated or out of ascending order")
+        last = v
         row = bits[v]
         top = row.bit_length() - 1  # row's highest neighbour, -1 for none
         key = (row ^ (1 << top) | (1 << v), top) if top > v else (row, v)
@@ -63,21 +74,59 @@ def closed_neighborhood_partition(g: Graph, vertices: Iterable[int] | None = Non
     return Partition(tuple(tuple(vs) for vs in groups.values()))
 
 
+def _colour(pmask: int, weights: Sequence[int], others: Sequence[int],
+            sets: list[tuple[list[int], int]] | None = None) -> list[tuple[int, int]]:
+    """Greedy colouring of the nodes in pmask with weight splitting: peel
+    one greedy independent set in ascending node order, charge it the
+    smallest residual weight among its members, and repeat until every
+    residual weight is zero. others[v] clears v and its neighbours: what
+    stays independent of v.
+
+    Returns (node, bound) pairs in the order the nodes' residual weight
+    runs out, where a node's bound is the running total of charges at that
+    step, so bounds are nondecreasing. Each peeled set's run-outs go in
+    reverse, so the lowest node of equal bounds is branched on first. When
+    sets is given, each peeled set is appended to it as (nodes, charge),
+    the nodes ascending: a node's charges sum to its weight, and the
+    charges of the sets that meet a clique bound its weight, since a
+    clique meets each set at most once.
+    """
+    out: list[tuple[int, int]] = []
+    residual = list(weights)
+    total = 0
+    rest = pmask
+    while rest:
+        peeled: list[int] = []
+        avail = rest
+        while avail:
+            v = (avail & -avail).bit_length() - 1
+            avail &= others[v]
+            peeled.append(v)
+        charge = min(map(residual.__getitem__, peeled))
+        total += charge
+        if sets is not None:
+            sets.append((peeled, charge))
+        for v in reversed(peeled):
+            left = residual[v] = residual[v] - charge
+            if not left:
+                out.append((v, total))
+                rest ^= 1 << v
+    return out
+
+
 def _weighted_search(g: Graph, reps: Sequence[int], sizes: Sequence[int],
                      clique: set[int], node_budget: int) -> tuple[int, ...]:
     """Maximum-weight clique of the quotient whose classes have the
     representatives reps in g and the weights sizes, in class order, as
     sorted class indices.
 
-    Branch and bound over bitmask rows, on an explicit stack. The upper
-    bound is greedy colouring with weight splitting: peel one greedy
-    independent set in ascending node order, charge it the smallest residual
-    weight among its members, and bound each node by the running total at
-    the step its residual weight reaches zero. A clique meets each peeled
-    set at most once, so it weighs no more than the bound of its last node
-    to run out. The search branches from the highest bound down, and among
-    equal bounds from the lowest node, so its first clique of a given
-    weight tends to be the lexicographically smallest one.
+    Branch and bound over bitmask rows, on an explicit stack. Each node is
+    bounded by _colour's greedy colouring with weight splitting: a clique
+    meets each peeled set at most once, so it weighs no more than the
+    bound of its last node to run out. The search branches from the
+    highest bound down, and among equal bounds from the lowest node, so
+    its first clique of a given weight tends to be the lexicographically
+    smallest one.
 
     It runs on the classes renumbered by degree, highest first, as Tomita
     and Seki's MCQ starts: high-degree classes colour first, so the bounds
@@ -95,9 +144,19 @@ def _weighted_search(g: Graph, reps: Sequence[int], sizes: Sequence[int],
     node_budget; running out raises SearchBudgetExceeded. The budget is the
     search's only limit, whatever the number of classes.
 
+    The first search's root colouring is kept as its peeled sets, and the
+    scan asks it first. A scan question needs a clique of weight need
+    among the candidates sub; every clique in sub weighs at most the
+    charges of the root sets that meet sub. When those sum to less than
+    need, the question's search could find nothing and change nothing, so
+    the class is passed over without a search and costs no node. The
+    largest root bound among sub's nodes, one suffix of the root sets, is
+    tested first, so most refusals cost one AND.
+
     clique, a clique of class indices, is the incumbent: the first search
     starts from its weight, so it only searches for heavier cliques, and
-    closes at the root when the root's bound is no higher. The answer is
+    closes at the root when the root's bound is no higher. Then the root
+    sets prove the best weight: their charges sum to it. The answer is
     the same tuple with or without it. The caller checks that it is a
     clique.
     """
@@ -110,48 +169,29 @@ def _weighted_search(g: Graph, reps: Sequence[int], sizes: Sequence[int],
     budget = node_budget
     others = [~(row | (1 << v)) for v, row in enumerate(rows)]
 
-    def colour(pmask: int) -> list[tuple[int, int]]:
-        # Charge one node, then colour pmask with weight splitting; returns
-        # (node, bound) pairs in the order the nodes' residual weight runs
-        # out, bounds nondecreasing. Each peeled set's run-outs go in
-        # reverse, so the lowest node of equal bounds is branched on first.
-        # others[v] clears v and its neighbours: what stays independent of v.
+    def colour(pmask: int,
+               sets: list[tuple[list[int], int]] | None = None) -> list[tuple[int, int]]:
+        # charge one node, then colour
         nonlocal budget
         budget -= 1
         if budget < 0:
             raise SearchBudgetExceeded(
                 f"quotient search exceeded node budget {node_budget}")
-        out: list[tuple[int, int]] = []
-        residual = list(weights)
-        total = 0
-        rest = pmask
-        while rest:
-            peeled: list[int] = []
-            avail = rest
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                avail &= others[v]
-                peeled.append(v)
-            charge = min(map(residual.__getitem__, peeled))
-            total += charge
-            for v in reversed(peeled):
-                left = residual[v] = residual[v] - charge
-                if not left:
-                    out.append((v, total))
-                    rest ^= 1 << v
-        return out
+        return _colour(pmask, weights, others, sets)
 
     witness = {v for v, c in enumerate(perm) if c in clique}  # until a search beats it
 
-    def search(pmask: int, best: int, target: int) -> int:
+    def search(pmask: int, best: int, target: int,
+               sets: list[tuple[list[int], int]] | None = None) -> int:
         # The weight of the heaviest clique in pmask, or of the first found
         # that weighs target or more, if it weighs more than best; else
         # best. Each clique found that weighs more becomes the witness.
+        # The root's peeled sets go to sets when it is given.
         nonlocal witness
         # frame: [weight so far, candidates left, the node whose branch
         #         made it, the (node, bound) pairs not yet branched on, None
-        #         until the frame is first visited]
-        stack = [[0, pmask, -1, None]]
+        #         until the frame is first visited; the root is coloured at once]
+        stack = [[0, pmask, -1, colour(pmask, sets)]]
         while stack:
             frame = stack[-1]
             weight, pmask, _, coloured = frame
@@ -174,9 +214,27 @@ def _weighted_search(g: Graph, reps: Sequence[int], sizes: Sequence[int],
         return best
 
     pmask = (1 << len(perm)) - 1
+    root: list[tuple[list[int], int]] = []
     # The chosen classes and the witness members not yet scanned form a
     # clique of the best weight; missing is what the chosen ones lack of it.
-    missing = search(pmask, sum(weights[v] for v in witness), sum(weights))
+    missing = search(pmask, sum(weights[v] for v in witness), sum(weights), root)
+    tops = list(accumulate(charge for _, charge in root))  # root bounds, ascending
+    above: dict[int, int] = {}  # first set index -> the nodes of the sets from it on
+
+    def may_reach(sub: int, need: int) -> bool:
+        # Whether the root sets that meet sub are charged need or more.
+        # The nodes whose root bound reaches need are those of the sets
+        # from index first on; if sub has none, the sum is below need.
+        first = bisect_left(tops, need)
+        high = above.get(first)
+        if high is None:
+            high = above[first] = _mask(chain.from_iterable(
+                nodes for nodes, _ in root[first:]), len(perm))
+        if not sub & high:
+            return False
+        inside = set(_members(sub))
+        return sum(charge for nodes, charge in root if not inside.isdisjoint(nodes)) >= need
+
     chosen: list[int] = []
     for v in sorted(range(len(perm)), key=perm.__getitem__):  # in class index order
         if not pmask >> v & 1:
@@ -185,7 +243,7 @@ def _weighted_search(g: Graph, reps: Sequence[int], sizes: Sequence[int],
         need = missing - weights[v]
         if v not in witness and need:
             sub = pmask & rows[v]
-            if not sub or search(sub, need - 1, need) < need:
+            if not sub or not may_reach(sub, need) or search(sub, need - 1, need) < need:
                 continue
         chosen.append(perm[v])
         if not need:

@@ -3,9 +3,11 @@ from hypothesis import settings
 
 # Every @given test draws the same examples on each run, so the suite's
 # verdict does not change from one run to the next. Hypothesis's own
-# --hypothesis-profile option still selects any other registered profile,
-# such as its built-in "default".
+# --hypothesis-profile option still selects any other registered profile:
+# "deep" draws fresh examples on each run, 5,000 for each property that
+# does not fix its own count, and lets no example time out.
 settings.register_profile("derandomized", derandomize=True)
+settings.register_profile("deep", max_examples=5_000, deadline=None)
 settings.load_profile("derandomized")
 
 _ACCEPTANCE_LINES: list[str] = []

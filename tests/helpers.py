@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations
 from pathlib import Path
@@ -144,6 +145,35 @@ def subset_max_weight_cliques(q: QuotientGraph) -> list[tuple[int, ...]]:
         elif weight == best_weight:
             best.append(nodes)
     return sorted(best)
+
+
+def check_root_certificate(g: Graph, reps: list[int], sets: list[tuple[list[int], int]],
+                           omega: int) -> None:
+    """Assert that weighted independent sets prove that no clique of g
+    among some closed-neighbourhood classes has more than omega vertices.
+
+    Node i stands for the class of vertex reps[i]: every vertex of g with
+    N[v] = N[reps[i]]. Each set is (list of nodes, charge). Each set's
+    representatives must be pairwise non-adjacent in g, each class's
+    charges must sum to its size, and all charges must sum to omega. A
+    clique of g meets each set's classes in at most one class, so it has
+    at most omega vertices. One row AND per set member, so linear in the
+    size of g's rows."""
+    hoods = [row | 1 << v for v, row in enumerate(g.bits)]
+    sizes = Counter(hoods)
+    assert len({hoods[v] for v in reps}) == len(reps), "two nodes share a class"
+    charged = [0] * len(reps)
+    for members, charge in sets:
+        assert charge > 0, f"set {members} has charge {charge}"
+        assert len(set(members)) == len(members), f"set {members} repeats a node"
+        vertices = 0
+        for i in members:
+            vertices |= 1 << reps[i]
+        for i in members:
+            assert not g.bits[reps[i]] & vertices, f"set {members} is not independent"
+            charged[i] += charge
+    assert charged == [sizes[hoods[v]] for v in reps], "charges do not split the weights"
+    assert sum(charge for _, charge in sets) == omega
 
 
 def all_maximal_cliques(g: Graph) -> set[tuple[int, ...]]:

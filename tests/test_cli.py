@@ -311,6 +311,13 @@ class TestExitCodes:
           "--budget", "-1"), "--budget must be >= 0, got -1"),
         (("solve", "--graph", "g.txt", "--budget", "-1"), "--budget must be >= 0, got -1"),
         (("oracle", "--graph", "g.txt", "--budget", "-5"), "--budget must be >= 0, got -5"),
+        # these kinds run no bounded search, so a budget would be ignored
+        (("experiment", "reconstruction", "--n", "30", "--m", "3", "--p", "0.3",
+          "--trials", "2", "--budget", "0"),
+         "--budget applies only to single_label and sparse, not reconstruction"),
+        (("experiment", "concentration", "--n", "30", "--m", "3", "--p", "0.3",
+          "--trials", "2", "--budget", "5"),
+         "--budget applies only to single_label and sparse, not concentration"),
     ])
     def test_out_of_range_counts_are_usage_errors(self, tmp_path, args, message):
         (tmp_path / "g.txt").write_text(P3)

@@ -55,6 +55,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             run_experiment(cfg, jobs=0)
 
+    @pytest.mark.parametrize("kind", ["concentration", "reconstruction"])
+    def test_budget_on_a_kind_without_search_raises(self, kind):
+        cfg = ExperimentConfig(kind, resolve_params(n=30, m=3, p=0.3), trials=2, seed=0,
+                               budget=0)
+        with pytest.raises(ValueError, match=f"budget applies only to single_label and "
+                                             f"sparse, not {kind}"):
+            run_experiment(cfg)
+
 
 class TestSingleLabelKind:
     def test_one_trial_row_shape(self):

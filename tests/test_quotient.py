@@ -15,10 +15,11 @@ from rigclique import (Graph, GraphError, Partition, SearchBudgetExceeded, build
                        resolve_params, sample_label_representation)
 from rigclique.graph import _subgraph_rows
 from rigclique.oracle import DEFAULT_NODE_BUDGET
-from rigclique.quotient import _simplicial_start, _weighted_search
+from rigclique.quotient import _colour, _simplicial_start, _weighted_search
 
-from helpers import (QuotientGraph, all_maximal_cliques, check_quotient, class_of,
-                     closed_neighborhood, cocktail_party, complete_graph,
+from helpers import (QuotientGraph, all_maximal_cliques, check_quotient,
+                     check_root_certificate, class_of, closed_neighborhood,
+                     cocktail_party, complete_graph,
                      complete_multipartite, corona, exact_intersection_number, label_members,
                      largest_simplicial_clique, pairwise_partition, quotient_rows_loop,
                      random_graph, random_label_rep, random_quotient, subset_max_clique,
@@ -88,6 +89,29 @@ class TestPartition:
         for _ in range(80):
             g = random_graph(rng, rng.randint(0, 25), rng.choice([0.1, 0.5, 0.9]))
             assert pairwise_partition(g) == closed_neighborhood_partition(g)
+
+    @pytest.mark.parametrize("vertices, message", [
+        ([1, 0, 3, 2], "vertex 0 repeated or out of ascending order"),
+        ([0, 0, 1], "vertex 0 repeated or out of ascending order"),
+        ([0, 2, 1], "vertex 1 repeated or out of ascending order"),
+        ([7], "vertex 7 out of range for n=4"),
+        ([0, 4], "vertex 4 out of range for n=4"),
+        ([-1], "vertex -1 out of range for n=4"),
+        ([-1, 0], "vertex -1 out of range for n=4"),
+    ], ids=["swapped", "repeated", "descending-tail", "past-n", "n", "negative",
+            "negative-first"])
+    def test_bad_vertices_raise(self, vertices, message):
+        # 0 and 1 are twins, so a bad list would otherwise give classes out
+        # of order, with repeats, or none at all
+        g = build_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            closed_neighborhood_partition(g, vertices)
+
+    def test_ascending_vertices_in_range(self):
+        g = build_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        assert closed_neighborhood_partition(g, []).classes == ()
+        assert closed_neighborhood_partition(g, [0, 1, 3]).classes == ((0, 1), (3,))
+        assert closed_neighborhood_partition(g, iter([1, 2])).classes == ((1,), (2,))
 
 
 class TestQuotientGraph:
@@ -293,13 +317,13 @@ class TestFindMaxClique:
         assert len(clique) == len(exact_max_clique(g))
 
     # The simplicial start is a maximum clique on each, so the first search
-    # closes at its root; the rest are the scan's searches, over the classes
-    # whose degree + 1 reaches the start's size.
+    # closes at its root, and its root colouring answers every scan
+    # question: the search is its root alone.
     @pytest.mark.parametrize("n, m, p, nodes", [
         (400, 10, 0.2, 1),  # ladder rung L1: the scan takes the start whole
-        (400, 6, 0.3, 2),  # a single-label-dense trial: the root, then 1 in the scan
-        (2000, 10, 0.2, 2),  # ladder rung L2
-        (3000, 100, 0.02, 10),  # ladder rung L4
+        (400, 6, 0.3, 1),  # a single-label-dense trial
+        (2000, 10, 0.2, 1),  # ladder rung L2
+        (3000, 100, 0.02, 1),  # ladder rung L4
     ], ids=["L1", "single-label-dense", "L2", "L4"])
     def test_exact_node_count(self, n, m, p, nodes):
         g = induced_graph(sample_label_representation(resolve_params(n=n, m=m, p=p),
@@ -315,9 +339,10 @@ class TestFindMaxClique:
         # weight 5, and the scan takes that witness whole: 3 nodes
         (complete_multipartite([3, 3, 1, 1, 1]), 3),
         # the search takes 6 nodes: the root, then a dive through the K6
-        # classes 6..11; the scan then searches once from each pendant 0..5,
-        # one node each, before it takes the witness
-        (corona(6), 12),
+        # classes 6..11. The scan passes each pendant 0..5 without a node:
+        # the root sets that meet its one neighbour are charged 1, not the
+        # 5 it would need. It then takes the witness
+        (corona(6), 6),
     ], ids=["K8", "K3,3,1,1,1", "corona-K6"])
     def test_phase_two_stops_at_a_clique(self, graph, nodes):
         assert find_max_clique(graph, node_budget=nodes) == exact_max_clique(graph)
@@ -379,9 +404,9 @@ class TestIncumbent:
 
     @pytest.mark.parametrize("n, m, p, nodes", [
         (400, 10, 0.2, 1),  # ladder rung L1: the root; the scan takes the label whole
-        # a single-label-dense trial: the root, then 24 in scan searches over
-        # the 51 of 103 classes that can reach the label
-        (400, 6, 0.3, 25),
+        # a single-label-dense trial: the root, then one scan question that
+        # the root colouring cannot answer, whose search takes 23 nodes
+        (400, 6, 0.3, 24),
     ], ids=["L1", "single-label-dense"])
     def test_largest_label_closes_phase_one_at_the_root(self, n, m, p, nodes):
         rep = sample_label_representation(resolve_params(n=n, m=m, p=p), seed=1, trial=0)
@@ -464,6 +489,67 @@ class TestSimplicialStart:
         assert short >= 20
 
 
+@st.composite
+def weighted_quotients(draw) -> QuotientGraph:
+    """A random quotient on up to 10 nodes of weights 1 to 4, so
+    maximum-weight ties are common; or, as find_max_clique meets it, the
+    quotient of its blow-up into twins, whose rows the search takes from a
+    graph's rows and in which twin nodes have merged."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    q = random_quotient(rng, draw(st.integers(1, 10)), draw(st.sampled_from([0.2, 0.5, 0.8])),
+                        draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        g = blown_up(rng, q)
+        q = quotient_graph(g, closed_neighborhood_partition(g))
+    return q
+
+
+class TestRootColouring:
+    """The first search keeps its root colouring's peeled sets, and the
+    scan passes a class over without a search when the charges of the
+    root sets that meet its remaining neighbours fall short."""
+
+    @given(q=weighted_quotients())
+    @settings(deadline=None)
+    def test_refusals_keep_the_answer(self, q):
+        # every maximal clique as incumbent: some close the first search at
+        # its root, so the scan runs on a tight root colouring
+        answer = subset_max_weight_cliques(q)[0]
+        assert max_weight_quotient_clique(q) == answer
+        for clique in all_maximal_cliques(q.graph):
+            assert max_weight_quotient_clique(q, clique=clique) == answer
+
+    @pytest.mark.parametrize("start", ["label", "bare"])
+    @pytest.mark.parametrize("n, m, p", [
+        (400, 10, 0.2), (2000, 10, 0.2), (5000, 50, 0.05), (3000, 100, 0.02), (400, 6, 0.3),
+    ], ids=["L1", "L2", "L3", "L4", "single-label-dense"])
+    def test_root_sets_prove_omega(self, monkeypatch, n, m, p, start):
+        # On each, the first search closes at its root with either start, so
+        # the root colouring certifies the clique number. The search's rows
+        # are built for its nodes in order, which names each node's class.
+        rep = sample_label_representation(resolve_params(n=n, m=m, p=p), seed=1, trial=0)
+        g = induced_graph(rep)
+        nodes, roots = [], []
+
+        def rows(graph, vertices):
+            nodes.append(list(vertices))
+            return _subgraph_rows(graph, vertices)
+
+        def colour(pmask, weights, others, sets=None):
+            out = _colour(pmask, weights, others, sets)
+            if sets is not None:
+                roots.append(sets)
+            return out
+
+        monkeypatch.setattr(rigclique.quotient, "_subgraph_rows", rows)
+        monkeypatch.setattr(rigclique.quotient, "_colour", colour)
+        label = max_clique_from_labels(rep)
+        clique = find_max_clique(g, clique=label if start == "label" else ())
+        assert len(nodes) == len(roots) == 1
+        assert len(clique) == len(label)
+        check_root_certificate(g, nodes[0], roots[0], len(clique))
+
+
 def fewest_nodes(solve) -> tuple[int, tuple[int, ...]]:
     """The smallest node budget at which solve(budget) answers, and the
     answer; it refuses at one less."""
@@ -484,7 +570,7 @@ class TestRowsFromG:
     def test_same_search_as_on_the_quotient(self):
         rng = random.Random(83)
         branched = 0
-        for trial in range(300):
+        for trial in range(330):
             if trial % 2:  # twin classes of sizes 1 to 4
                 g = blown_up(rng, random_quotient(rng, rng.randint(1, 14),
                                                   rng.choice([0.2, 0.5, 0.8]), 4))
