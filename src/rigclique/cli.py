@@ -2,8 +2,9 @@
 
 Subcommands: gen, solve, oracle, from-labels, chordal, reconstruct,
 experiment. Exit codes: 0 success, 1 runtime failure (malformed file,
-refused search), 2 usage error. All options come from flags; there are no
-config files or environment variables.
+refused search, a count too large to allocate), 2 usage error. All
+options come from flags; there are no config files or environment
+variables.
 """
 
 from __future__ import annotations
@@ -233,6 +234,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. a vertex or label count of 10**17
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -9,8 +9,10 @@ ascending order, single spaces, LF line endings. decode(encode(x)) == x, and
 encode(decode(t)) == t for canonical t.
 
 A graph file in exactly the canonical layout (ASCII digits, single spaces,
-LF endings, a final newline, no comments) whose pairs are distinct, in
-range and free of self-loops is decoded with array operations. Any other
+LF endings, a final newline, no comments, tokens of at most 18 digits)
+whose pairs are distinct, in range and free of self-loops is decoded with
+array operations and no text parser: one scan finds the separators, which
+prove the layout, and the digits are read one column at a time. Any other
 text goes through the line parser, which accepts and rejects exactly what
 it always has, with the same messages.
 """
@@ -25,7 +27,7 @@ from .graph import (Graph, LabelRepresentation, _block_height, _members, _pack_r
                     build_graph, build_labels)
 
 _CANONICAL_HEADER = re.compile(rb"([0-9]{1,18}) ([0-9]{1,18})\n")
-_MAX_DIGITS = 18  # np.fromstring saturates longer tokens without a warning
+_MAX_DIGITS = 18  # int64 holds every number of this many digits exactly
 
 
 class FormatError(ValueError):
@@ -56,11 +58,17 @@ def _decode_canonical(text: str) -> Graph | None:
     """The graph of a canonical file with at least one edge, or None as soon
     as any check fails, leaving the text to the line parser.
 
-    The layout is proven on the bytes before any number is parsed: each
-    line holds one space between two tokens of 1..18 digits. After parsing,
+    The layout is proven on the separators alone, the bytes below '0', in
+    a body with no byte above '9': there are 2e of them, they alternate
+    space and newline, and the gaps between them, 1..18 digits each, add
+    up to every other byte, so the last is the final byte and each line
+    holds two tokens. The tokens are then read by digit columns from the
+    right: the separator positions step left in place, and each column
+    adds its digits times a power of ten to every token long enough to
+    have one, in int32 unless a token has more than 9 digits. After that,
     the popcounts of the rows sum to 2e only if there is no self-loop and
-    no pair repeats in either order. No array is sized by n or sorted; the
-    rows that have an arc are packed in blocks as wide as the largest
+    no pair repeats in either order. No array is sized by n or sorted;
+    the rows that have an arc are packed in blocks as wide as the largest
     endpoint plus one, as many rows to a block as _BLOCK_CELLS allows.
     """
     if not text.isascii():
@@ -71,26 +79,44 @@ def _decode_canonical(text: str) -> Graph | None:
         return None
     n, e = int(head[1]), int(head[2])
     body = np.frombuffer(data, np.uint8)[head.end():]
-    if e == 0 or body.size == 0 or body[-1] != ord("\n"):
+    if e == 0 or body.size == 0 or body.max() > ord("9"):
         return None
-    spaces = np.flatnonzero(body == ord(" "))
-    ends = np.flatnonzero(body == ord("\n"))
-    digits = np.count_nonzero((body >= ord("0")) & (body <= ord("9")))
-    if len(spaces) != e or len(ends) != e or digits != body.size - 2 * e:
+    seps = np.flatnonzero(body < ord("0"))  # the only array of 2e int64 entries
+    if len(seps) != 2 * e:
         return None
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    if not ((starts < spaces).all() and (spaces < ends - 1).all()
-            and (spaces - starts <= _MAX_DIGITS).all()
-            and (ends - spaces <= _MAX_DIGITS + 1).all()):
+    kinds = body.take(seps)
+    if (kinds.view("<u2") != ord(" ") | ord("\n") << 8).any():  # each pair is " \n"
         return None
-    pairs = np.fromstring(data[head.end():], np.int64, sep=" ").reshape(e, 2)
-    u, v = pairs[:, 0], pairs[:, 1]
-    top = int(pairs.max())
+    lengths = np.empty(2 * e, np.int32)  # digits per token
+    lengths[0] = seps[0] + 1
+    np.subtract(seps[1:], seps[:-1], out=lengths[1:], casting="unsafe")
+    lengths -= 1
+    longest = int(lengths.max())
+    # the tokens hold every byte but the separators only if the last
+    # separator is the final byte and no int32 difference wrapped
+    if (lengths.min() < 1 or longest > _MAX_DIGITS
+            or int(lengths.sum(dtype=np.int64)) != body.size - 2 * e):
+        return None
+    values = np.empty(2 * e, np.int32 if longest <= 9 else np.int64)
+    column = np.empty(2 * e, values.dtype)
+    digits = kinds  # reused: each token's byte in the current column
+    for k in range(longest):
+        seps -= 1  # the k-th digit from the right, where the token has one
+        body.take(seps, out=digits, mode="clip")
+        if k == 0:
+            np.subtract(digits, ord("0"), out=values, casting="unsafe")
+            continue
+        np.subtract(digits, ord("0"), out=column, casting="unsafe")
+        column *= lengths > k
+        column *= 10**k
+        values += column
+    del lengths, column
+    top = int(values.max())
     if top >= n:
         return None
+    u, v = values[0::2], values[1::2]
     has_arc = np.zeros(top + 1, dtype=bool)
-    has_arc[u] = True
-    has_arc[v] = True
+    has_arc[values] = True
     active = np.flatnonzero(has_arc)
     rank = np.cumsum(has_arc) - 1  # position of each vertex among active
     width = top + 1
@@ -99,8 +125,11 @@ def _decode_canonical(text: str) -> Graph | None:
     for start in range(0, len(active), height):
         block = np.zeros((min(height, len(active) - start), width), dtype=bool)
         if len(block) == len(active):  # every arc lands in this block
-            block[rank[u], v] = True
-            block[rank[v], u] = True
+            cells = seps.reshape(e, 2)  # reused: the cell of arc u->v and of v->u
+            rank.take(values, out=seps)
+            cells *= width
+            cells += values.reshape(e, 2)[:, ::-1]
+            block.reshape(-1)[seps] = True
         else:
             lo, hi = active[start], active[start + len(block) - 1]
             for a, b in ((u, v), (v, u)):

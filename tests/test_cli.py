@@ -299,6 +299,25 @@ class TestExitCodes:
         assert len(proc.stderr.splitlines()) == 1
         assert "Traceback" not in proc.stderr
 
+    # counts of 10**15 and more fail to allocate at once on any host
+    @pytest.mark.parametrize("command, flag, text, message", [
+        # the array path: every endpoint fits, but no row block can be made
+        ("solve", "--graph", "100000000000000000 1\n0 99999999999999999\n",
+         "error: Unable to allocate "),
+        # the line parser: n rows
+        ("solve", "--graph", "100000000000000000 0\n", "error: out of memory"),
+        ("chordal", "--graph", "# no edges\n100000000000000000 0\n", "error: out of memory"),
+        # m label masks
+        ("from-labels", "--labels", "1 1000000000000000\n0:\n", "error: out of memory"),
+    ], ids=["array-path", "line-parser", "commented", "labels"])
+    def test_impossible_count_is_runtime_failure(self, tmp_path, command, flag, text, message):
+        (tmp_path / "f.txt").write_text(text)
+        proc = run_cli(command, flag, "f.txt", cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(message)
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stdout == ""
+
     def test_no_quotient_cap_flag(self):
         assert run_cli("solve", "--graph", "x", "--quotient-cap", "5").returncode == 2
 

@@ -22,6 +22,11 @@ MALFORMED = [
      FormatError, "malformed edge line '': expected 'u v'"),
     ("blank line among edges", "3 2\n0 1\n\n1 2\n",
      FormatError, "expected 2 edge lines, found 3"),
+    # separators in the canonical places, but an empty token and a byte
+    # above '9', each of which would read as an endpoint in range
+    ("empty token", "300 2\n0 1\n 2\n",
+     FormatError, "malformed edge line ' 2': expected 'u v'"),
+    ("colon for a digit", "20 1\n0 :\n", FormatError, "non-numeric endpoint ':'"),
     ("three tokens", "3 1\n0 1 2\n",
      FormatError, "malformed edge line '0 1 2': expected 'u v'"),
     # two spaces and two newlines, as two edges would have
@@ -33,6 +38,9 @@ MALFORMED = [
      GraphError, "endpoint out of range (0, 18446744073709551617) for n=2"),
     ("nineteen digits", "2 1\n0 1000000000000000000\n",
      GraphError, "endpoint out of range (0, 1000000000000000000) for n=2"),
+    # the widest int32 token, the narrowest int64 one and the widest one read
+    *[(f"{d} nines", f"3 2\n0 1\n2 {'9' * d}\n",
+       GraphError, f"endpoint out of range (2, {'9' * d}) for n=3") for d in (9, 10, 18)],
     ("self-loop", "3 2\n0 1\n2 2\n", GraphError, "self-loop (2, 2)"),
     ("out of range", "3 2\n0 1\n1 3\n", GraphError, "endpoint out of range (1, 3) for n=3"),
     ("pair repeated reversed", "3 2\n0 1\n1 0\n", GraphError, "duplicate edge (1, 0)"),
@@ -137,6 +145,70 @@ def test_canonical_file_takes_array_path(monkeypatch):
     g = random_graph(rng, 120, 0.3)
     monkeypatch.setattr(rigclique.io, "build_graph", _refuse)
     assert decode_graph(encode_graph(g)) == g
+
+
+# tokens of 9, 10 and 18 digits at n=3: int32 columns, int64 columns, and
+# the longest token the array path reads
+WIDE_TOKENS = [("000000000", "000000002"), ("0000000000", "0000000002"),
+               ("0" * 18, "0" * 17 + "2"), ("2", "0" * 18)]
+
+
+@pytest.mark.parametrize("u, v", WIDE_TOKENS, ids=["9-digit", "10-digit", "18-digit", "1-and-18"])
+def test_wide_tokens_take_array_path(monkeypatch, u, v):
+    monkeypatch.setattr(rigclique.io, "build_graph", _refuse)
+    assert decode_graph(f"3 2\n{u} 1\n1 {v}\n") == build_graph(3, [(0, 1), (1, 2)])
+
+
+def test_nineteen_digit_token_takes_line_parser(monkeypatch):
+    calls = []
+
+    def recording(n, edges):
+        calls.append(edges)
+        return build_graph(n, edges)
+
+    monkeypatch.setattr(rigclique.io, "build_graph", recording)
+    assert decode_graph(f"3 1\n{'0' * 19} 2\n") == build_graph(3, [(0, 2)])
+    assert calls == [[(0, 2)]]
+
+
+# digits, the two separators, whitespace and signs the line parser allows,
+# a comment mark and a digit int() reads but the array path refuses
+EDIT_ALPHABET = "0123456789 \n\t\r#+-\u0662"
+
+
+@st.composite
+def edited_graph_files(draw):
+    """A canonical file with one to three characters inserted, replaced or
+    deleted."""
+    k = draw(st.integers(min_value=0, max_value=25))
+    p = draw(st.sampled_from([0.1, 0.3, 0.7]))
+    g = random_graph(random.Random(draw(st.integers(0, 2**32))), k, p)
+    # with 300 isolated vertices more, a separator misread as a digit
+    # (218 or 240) would be an endpoint in range
+    n = k + draw(st.sampled_from([0, 300]))
+    text = encode_graph(build_graph(n, g.edges))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        at = draw(st.integers(min_value=0, max_value=len(text)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        char = "" if edit == "delete" else draw(st.sampled_from(EDIT_ALPHABET))
+        text = text[:at] + char + text[at + (edit != "insert"):]
+    return text
+
+
+def _outcome(text):
+    try:
+        return decode_graph(text)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(edited_graph_files())
+def test_array_path_changes_no_answer_or_error(text):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rigclique.io, "_decode_canonical", lambda text: None)
+        expected = _outcome(text)
+    assert _outcome(text) == expected
 
 
 def test_commented_file_takes_line_parser(monkeypatch):
