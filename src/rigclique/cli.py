@@ -29,9 +29,8 @@ class UsageError(Exception):
     """Bad flag combination that argparse alone cannot express."""
 
 
-def _add_model_flags(sp: argparse.ArgumentParser, with_n: bool = True) -> None:
-    if with_n:
-        sp.add_argument("--n", type=int, required=True, help="number of vertices")
+def _add_model_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--n", type=int, required=True, help="number of vertices")
     size = sp.add_mutually_exclusive_group(required=True)
     size.add_argument("--m", type=int, help="number of labels")
     size.add_argument("--alpha", type=float, help="label count exponent: m = ceil(n**alpha)")
@@ -48,8 +47,8 @@ def _at_least(args: argparse.Namespace, flag: str, low: int) -> int | None:
     return value
 
 
-def _params(args: argparse.Namespace, n: int) -> RigParams:
-    return resolve_params(n=n, m=args.m, p=args.p, alpha=args.alpha, mp2=args.mp2)
+def _params(args: argparse.Namespace) -> RigParams:
+    return resolve_params(n=args.n, m=args.m, p=args.p, alpha=args.alpha, mp2=args.mp2)
 
 
 def _read(path: str) -> str:
@@ -68,7 +67,7 @@ def _print_clique(vertices: tuple[int, ...]) -> None:
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.out_graph is None and args.out_labels is None:
         raise UsageError("gen needs --out-graph and/or --out-labels")
-    params = _params(args, args.n)
+    params = _params(args)
     rep = sample_label_representation(params, args.seed, trial=0)
     if args.out_labels is not None:
         _write(args.out_labels, encode_labels(rep))
@@ -109,12 +108,11 @@ def _cmd_chordal(args: argparse.Namespace) -> int:
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
     g = decode_graph(_read(args.graph))
-    params = _params(args, g.n)
     # the truth file is checked first, so a bad one prints nothing to stdout
     truth = None if args.labels is None else decode_labels(_read(args.labels))
     if truth is not None and truth.n != g.n:
         raise ValueError(f"vertex counts differ: {g.n} != {truth.n}")
-    result = reconstruct_labels(g, params.m, params.p)
+    result = reconstruct_labels(g, args.m)
     # written before anything is printed, so a failed write leaves stdout empty
     if args.out_labels is not None and result.rep is not None:
         _write(args.out_labels, encode_labels(result.rep))
@@ -144,7 +142,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if budget is not None and args.kind not in _BUDGET_KINDS:
         raise UsageError(f"--budget applies only to {' and '.join(_BUDGET_KINDS)}, "
                          f"not {args.kind}")
-    params = _params(args, args.n)
+    params = _params(args)
     cfg = ExperimentConfig(kind=args.kind, params=params, trials=trials,
                            seed=args.seed, budget=budget)
     stats = run_experiment(cfg, jobs=jobs, progress=_progress(trials))
@@ -192,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     reconstruct = sub.add_parser("reconstruct", help="recover label sets from a graph")
     reconstruct.add_argument("--graph", required=True, help="graph file to explain")
-    _add_model_flags(reconstruct, with_n=False)
+    reconstruct.add_argument("--m", type=int, required=True, help="number of labels")
     reconstruct.add_argument("--labels", help="ground-truth label file to compare against")
     reconstruct.add_argument("--out-labels", help="write recovered label sets here")
     reconstruct.set_defaults(func=_cmd_reconstruct)

@@ -165,7 +165,7 @@ def _sparse_trial(cfg: ExperimentConfig, trial: int) -> dict[str, object]:
 def _reconstruction_trial(cfg: ExperimentConfig, trial: int) -> dict[str, object]:
     truth = sample_label_representation(cfg.params, cfg.seed, trial)
     g = induced_graph(truth)
-    result = reconstruct_labels(g, cfg.params.m, cfg.params.p)
+    result = reconstruct_labels(g, cfg.params.m)
     equivalent = bool(result.valid and result.rep is not None
                       and reps_equivalent(result.rep, truth))
     return {"trial": trial, "status": "ok",

@@ -1,15 +1,15 @@
-"""Label-set recovery from a bare graph.
+"""Label-set recovery from a bare graph and a label count.
 
 Under the intersection model, large maximal cliques are usually single
 labels. The heuristic here covers the edge set with maximal cliques by
-greedy set cover and declares the chosen cliques to be labels. Failure is
-a result, not an exception: the caller learns how far the cover got.
+greedy set cover and declares the chosen cliques to be labels. It reads
+nothing of the model but the label count. Failure is a result, not an
+exception: the caller learns how far the cover got.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -30,15 +30,13 @@ class ReconstructionResult:
     candidate_count: int
 
 
-def reconstruct_labels(g: Graph, m: int, p: float) -> ReconstructionResult:
+def reconstruct_labels(g: Graph, m: int) -> ReconstructionResult:
     """Recover a label representation that induces g, using at most m labels.
 
-    Candidates are maximal cliques no smaller than n*p - 3*sqrt(n*p*ln n),
-    the size window large single-label cliques concentrate in; the window is
-    disabled when its lower edge is 2 or less, since then it filters
-    nothing useful. Each greedy step takes the candidate covering the most
-    still-uncovered edges, preferring larger then lexicographically earlier
-    cliques on ties.
+    Every maximal clique of g is a candidate. Each greedy step takes the
+    candidate covering the most still-uncovered edges, preferring larger
+    then lexicographically earlier cliques on ties. With m = 0 only an
+    edgeless graph is recovered, as a representation with no labels.
 
     The maximal cliques are enumerated on the closed-neighborhood quotient,
     whose rows are g's rows of the class representatives, restricted to
@@ -48,21 +46,12 @@ def reconstruct_labels(g: Graph, m: int, p: float) -> ReconstructionResult:
     maximal cliques of g: the candidates, their count and the enumeration
     budget are those of g itself.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must be strictly between 0 and 1, got {p}")
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     classes = closed_neighborhood_partition(g).classes
     quotient = Graph(len(classes), tuple(_subgraph_rows(g, [cls[0] for cls in classes])))
     candidates = [tuple(sorted(v for c in clique for v in classes[c]))
                   for clique in enumerate_maximal_cliques(quotient)]
-    expected = g.n * p
-    if g.n >= 1:
-        floor = expected - 3.0 * math.sqrt(expected * math.log(g.n))
-    else:
-        floor = 0.0
-    if floor > 2.0:
-        candidates = [c for c in candidates if len(c) >= floor]
     candidates.sort(key=lambda c: (-len(c), c))
     masks = [sum(1 << v for v in c) for c in candidates]
 

@@ -10,7 +10,6 @@ every vertex, and the cycle search over every vertex and label node.
 
 from __future__ import annotations
 
-import math
 import os
 import random
 from collections import Counter
@@ -345,18 +344,13 @@ def greedy_pair_cover(g: Graph, m: int) -> tuple[list[tuple[int, ...]], int]:
     return chosen, len(uncovered)
 
 
-def linear_scan_cover(g: Graph, m: int, p: float) -> tuple[list[int], int]:
+def linear_scan_cover(g: Graph, m: int) -> tuple[list[int], int]:
     """reconstruct_labels' greedy cover as a plain scan: the same candidates
     (the package's maximal cliques, checked against all_maximal_cliques
-    elsewhere) and size window, and each step recounts every candidate and
-    keeps the first one covering the most uncovered edges. Returns the
-    chosen clique masks in order and the count of edges left uncovered."""
+    elsewhere), and each step recounts every candidate and keeps the first
+    one covering the most uncovered edges. Returns the chosen clique masks
+    in order and the count of edges left uncovered."""
     candidates = enumerate_maximal_cliques(g)
-    if g.n >= 1:
-        expected = g.n * p
-        floor = expected - 3.0 * math.sqrt(expected * math.log(g.n))
-        if floor > 2.0:
-            candidates = [c for c in candidates if len(c) >= floor]
     candidates.sort(key=lambda c: (-len(c), c))
     masks = [sum(1 << v for v in c) for c in candidates]
     uncovered = list(g.bits)

@@ -139,7 +139,7 @@ def test_criterion_8_label_recovery(acceptance):
     for trial in range(100):
         truth = sample_label_representation(params, seed=1, trial=trial)
         g = induced_graph(truth)
-        result = reconstruct_labels(g, params.m, params.p)
+        result = reconstruct_labels(g, params.m)
         if result.rep is None:
             continue
         successes += 1

@@ -151,7 +151,7 @@ class TestReconstruct:
     def test_against_truth_with_output(self, tmp_path):
         run_cli("gen", "--n", "40", "--m", "5", "--p", "0.25", "--seed", "3",
                 "--out-graph", "g.txt", "--out-labels", "l.txt", cwd=tmp_path)
-        proc = run_cli("reconstruct", "--graph", "g.txt", "--m", "5", "--p", "0.25",
+        proc = run_cli("reconstruct", "--graph", "g.txt", "--m", "5",
                        "--labels", "l.txt", "--out-labels", "rec.txt", cwd=tmp_path)
         assert proc.returncode == 0
         lines = proc.stdout.splitlines()
@@ -164,16 +164,17 @@ class TestReconstruct:
 
     def test_without_truth_prints_only_validity(self, tmp_path):
         (tmp_path / "g.txt").write_text(P3)
-        proc = run_cli("reconstruct", "--graph", "g.txt", "--m", "2", "--p", "0.5",
-                       cwd=tmp_path)
+        proc = run_cli("reconstruct", "--graph", "g.txt", "--m", "2", cwd=tmp_path)
         assert proc.returncode == 0
         assert proc.stdout == "valid 1\n"
 
-    def test_bad_probability_is_runtime_failure(self, tmp_path):
+    def test_probability_flag_is_usage_error(self, tmp_path):
+        # recovery reads only the graph and the label count
         (tmp_path / "g.txt").write_text(P3)
-        proc = run_cli("reconstruct", "--graph", "g.txt", "--m", "2", "--p", "0",
+        proc = run_cli("reconstruct", "--graph", "g.txt", "--m", "2", "--p", "0.5",
                        cwd=tmp_path)
-        assert proc.returncode == 1
+        assert proc.returncode == 2
+        assert proc.stdout == ""
 
     def test_truth_of_another_vertex_count_prints_nothing(self, tmp_path):
         # the truth file is checked before reconstructing, so the error
@@ -183,7 +184,7 @@ class TestReconstruct:
             encode_graph(induced_graph(sample_label_representation(params, seed=1))))
         (tmp_path / "l.txt").write_text(encode_labels(
             sample_label_representation(resolve_params(n=20, m=5, p=0.3), seed=1)))
-        proc = run_cli("reconstruct", "--graph", "g.txt", "--m", "5", "--p", "0.3",
+        proc = run_cli("reconstruct", "--graph", "g.txt", "--m", "5",
                        "--labels", "l.txt", "--out-labels", "rec.txt", cwd=tmp_path)
         assert proc.returncode == 1
         assert proc.stdout == ""
@@ -197,7 +198,7 @@ class TestReconstruct:
         rep = sample_label_representation(params, seed=1)
         (tmp_path / "g.txt").write_text(encode_graph(induced_graph(rep)))
         (tmp_path / "l.txt").write_text(encode_labels(rep))
-        proc = run_cli("reconstruct", "--graph", "g.txt", "--m", "5", "--p", "0.3",
+        proc = run_cli("reconstruct", "--graph", "g.txt", "--m", "5",
                        "--labels", "l.txt", "--out-labels", "nodir/rec.txt", cwd=tmp_path)
         assert proc.returncode == 1
         assert proc.stdout == ""
@@ -254,6 +255,16 @@ class TestExperiment:
                        "--p", "0.999", "--trials", "1", cwd=tmp_path)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.splitlines()[1] == "0,ok,1,1"
+
+    @pytest.mark.parametrize("flags", [("--m", "3", "--p", "0"), ("--m", "3", "--p", "1"),
+                                       ("--m", "3", "--mp2", "0"), ("--m", "0", "--p", "0.5")])
+    def test_reconstruction_at_edge_parameters(self, tmp_path, flags):
+        # no labels, labels on every vertex, and no labels to recover with:
+        # each trial is a row, not an abort
+        proc = run_cli("experiment", "reconstruction", "--n", "10", *flags,
+                       "--trials", "2", cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert [row.split(",")[1] for row in proc.stdout.splitlines()[1:3]] == ["ok", "ok"]
 
 
 class TestExitCodes:

@@ -1,10 +1,13 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import types
 
 import rigclique
+from rigclique.cli import build_parser
 
 from helpers import ROOT, checkout_env
 
@@ -16,6 +19,18 @@ def test_all_lists_each_public_name_once():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert len(rigclique.__all__) == len(set(rigclique.__all__))
     assert set(rigclique.__all__) == public
+
+
+def test_readme_command_lines_parse():
+    # a flag renamed or removed in the parser but not in the README breaks this
+    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("rigclique ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 def test_benchmark_imports_resolve():

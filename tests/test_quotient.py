@@ -417,6 +417,34 @@ class TestIncumbent:
             find_max_clique(g, node_budget=nodes - 1, clique=label)
 
 
+@st.composite
+def label_reps(draw):
+    """Label representations on at most 40 vertices and eight labels, each
+    vertex holding at most one to three of them: from nearly edgeless
+    graphs with unlabelled and isolated vertices to nearly complete ones."""
+    n = draw(st.integers(0, 40))
+    m = draw(st.integers(0, 8))
+    width = draw(st.integers(1, 3))
+    sets = [draw(st.sets(st.integers(0, m - 1), max_size=width)) if m else set()
+            for _ in range(n)]
+    return build_labels(n, m, sets)
+
+
+class TestAgainstNetworkx:
+    @given(rep=label_reps())
+    @settings(max_examples=200, deadline=None)
+    def test_solvers_match_networkx_clique_size(self, rep):
+        g = induced_graph(rep)
+        nxg = nx.Graph(g.edges)
+        nxg.add_nodes_from(range(g.n))
+        _, size = nx.max_weight_clique(nxg, weight=None)
+        for answer in (find_max_clique(g),
+                       find_max_clique(g, clique=max_clique_from_labels(rep)),
+                       exact_max_clique(g)):
+            assert is_clique(g, answer)
+            assert len(answer) == size
+
+
 def blown_up(rng: random.Random, q: QuotientGraph) -> Graph:
     """q with each node k replaced by weights[k] twins, on shuffled ids."""
     owner = [c for c, w in enumerate(q.weights) for _ in range(w)]

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from rigclique import (PRESETS, LabelRepresentation, build_graph, build_labels,
-                       induced_graph, reconstruct_labels, reps_equivalent,
+                       induced_graph, reconstruct_labels, reps_equivalent, resolve_params,
                        sample_label_representation)
 
 from helpers import (all_maximal_cliques, greedy_pair_cover, label_members, label_sets,
@@ -14,7 +14,7 @@ from helpers import (all_maximal_cliques, greedy_pair_cover, label_members, labe
 class TestReconstructExamples:
     def test_triangle_plus_edge(self):
         g = build_graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
-        result = reconstruct_labels(g, 2, 0.5)
+        result = reconstruct_labels(g, 2)
         assert result.valid
         assert label_members(result.rep) == (frozenset({0, 1, 2}), frozenset({3, 4}))
         assert result.covered_edges == 4
@@ -22,13 +22,13 @@ class TestReconstructExamples:
 
     def test_edgeless_all_labels_empty(self):
         g = build_graph(4, [])
-        result = reconstruct_labels(g, 3, 0.5)
+        result = reconstruct_labels(g, 3)
         assert result.valid
         assert result.rep.masks == (0, 0, 0)
         assert result.covered_edges == 0
 
     def test_null_graph(self):
-        result = reconstruct_labels(build_graph(0, []), 2, 0.5)
+        result = reconstruct_labels(build_graph(0, []), 2)
         assert result.valid
         assert result.rep == LabelRepresentation(0, 2, (0, 0))
 
@@ -37,7 +37,7 @@ class TestReconstructExamples:
         # available, so recovery against a pairwise ground truth fails while
         # validity holds
         g = build_graph(3, [(0, 1), (0, 2), (1, 2)])
-        result = reconstruct_labels(g, 3, 0.5)
+        result = reconstruct_labels(g, 3)
         assert result.valid
         assert label_members(result.rep) == (frozenset({0, 1, 2}), frozenset(), frozenset())
         pairwise = build_labels(3, 3, [[0, 1], [0, 2], [1, 2]])
@@ -46,42 +46,49 @@ class TestReconstructExamples:
 
     def test_path_needs_two_labels(self):
         g = build_graph(3, [(0, 1), (1, 2)])
-        result = reconstruct_labels(g, 1, 0.5)
+        result = reconstruct_labels(g, 1)
         assert result.rep is None
         assert not result.valid
         assert result.covered_edges == 1
         assert result.candidate_count == 2
 
-    def test_size_window_drops_small_cliques(self):
-        # n=100, p=0.9: candidate floor is 90 - 3*sqrt(90 ln 100) ~ 28.9,
-        # so a lone edge beside a 30-clique is not a candidate and its edge
-        # stays uncovered
+    def test_small_clique_beside_large_one_is_recovered(self):
+        # a lone edge beside a 30-clique is a candidate like any other
+        # maximal clique
         edges = list(combinations(range(30), 2))
         g = build_graph(100, edges + [(30, 31)])
-        result = reconstruct_labels(g, 2, 0.9)
-        assert result.rep is None
-        assert result.covered_edges == 435
-        assert result.candidate_count == 1
+        result = reconstruct_labels(g, 2)
+        assert result.valid
+        assert label_members(result.rep) == (frozenset(range(30)), frozenset({30, 31}))
+        assert result.covered_edges == 436
+        assert result.candidate_count == 70
 
     def test_size_window_keeps_large_clique(self):
+        # every maximal clique is a candidate, the 70 isolated vertices too
         g = build_graph(100, list(combinations(range(30), 2)))
-        result = reconstruct_labels(g, 1, 0.9)
+        result = reconstruct_labels(g, 1)
         assert result.valid
         assert label_members(result.rep)[0] == frozenset(range(30))
-        assert result.candidate_count == 1
+        assert result.candidate_count == 71
+
+    def test_no_labels_for_an_edgeless_graph(self):
+        result = reconstruct_labels(build_graph(3, []), 0)
+        assert result.valid
+        assert result.rep == LabelRepresentation(3, 0, ())
+        assert result.covered_edges == 0
+
+    def test_no_labels_leave_an_edge_uncovered(self):
+        result = reconstruct_labels(build_graph(3, [(0, 1)]), 0)
+        assert result.rep is None
+        assert not result.valid
+        assert result.covered_edges == 0
 
 
 class TestReconstructValidation:
     def test_m_below_one(self):
         g = build_graph(2, [(0, 1)])
-        with pytest.raises(ValueError, match="m must be >= 1"):
-            reconstruct_labels(g, 0, 0.5)
-
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
-    def test_p_out_of_range(self, p):
-        g = build_graph(2, [(0, 1)])
-        with pytest.raises(ValueError, match="strictly between"):
-            reconstruct_labels(g, 1, p)
+        with pytest.raises(ValueError, match="m must be >= 0, got -1"):
+            reconstruct_labels(g, -1)
 
 
 class TestReconstructSoundness:
@@ -94,7 +101,7 @@ class TestReconstructSoundness:
             p = rng.uniform(0.1, 0.6)
             truth = random_label_rep(rng, n, m, p)
             g = induced_graph(truth)
-            result = reconstruct_labels(g, m, p)
+            result = reconstruct_labels(g, m)
             if result.rep is None:
                 assert not result.valid
                 assert result.covered_edges < len(g.edges) or len(g.edges) == 0
@@ -107,9 +114,9 @@ class TestReconstructSoundness:
         assert successes > 50
 
     def test_cover_matches_pair_set_reference(self):
-        # small n keeps the size window open, so every maximal clique is a
-        # candidate and the cover must choose exactly what the reference does;
-        # the candidates lift one to one from the quotient's maximal cliques
+        # every maximal clique is a candidate, so the cover must choose
+        # exactly what the reference does; the candidates lift one to one
+        # from the quotient's maximal cliques
         rng = random.Random(15)
         for _ in range(120):
             n = rng.randint(0, 11)
@@ -117,7 +124,7 @@ class TestReconstructSoundness:
             p = rng.choice([0.2, 0.4, 0.6])
             g = induced_graph(random_label_rep(rng, n, m, p))
             chosen, left = greedy_pair_cover(g, m)
-            result = reconstruct_labels(g, m, p)
+            result = reconstruct_labels(g, m)
             assert result.candidate_count == len(all_maximal_cliques(g))
             assert result.covered_edges == len(g.edges) - left
             if left:
@@ -126,13 +133,23 @@ class TestReconstructSoundness:
                 expect = [frozenset(c) for c in chosen] + [frozenset()] * (m - len(chosen))
                 assert list(label_members(result.rep)) == expect
 
+    def test_dense_samples_recover_their_truth(self):
+        # at 400/6/0.3 every maximal clique is a candidate, the many small
+        # ones among the overlaps of six large labels included
+        params = resolve_params(n=400, m=6, p=0.3)
+        for trial in range(5):
+            truth = sample_label_representation(params, seed=1, trial=trial)
+            result = reconstruct_labels(induced_graph(truth), params.m)
+            assert result.valid
+            assert reps_equivalent(result.rep, truth)
+
     def test_label_count_never_exceeds_m(self):
         rng = random.Random(12)
         for _ in range(60):
             n = rng.randint(1, 20)
             m = rng.randint(1, 5)
             truth = random_label_rep(rng, n, m, 0.4)
-            result = reconstruct_labels(induced_graph(truth), m, 0.4)
+            result = reconstruct_labels(induced_graph(truth), m)
             if result.rep is not None:
                 assert result.rep.m == m
                 used = sum(1 for mask in result.rep.masks if mask)
@@ -151,9 +168,9 @@ class TestLazyCover:
     """The heap-driven cover picks the masks the linear scan picks, in the
     same order, ties included."""
 
-    def check(self, g, m, p):
-        chosen, left = linear_scan_cover(g, m, p)
-        result = reconstruct_labels(g, m, p)
+    def check(self, g, m):
+        chosen, left = linear_scan_cover(g, m)
+        result = reconstruct_labels(g, m)
         total = sum(map(int.bit_count, g.bits)) // 2
         assert result.covered_edges == total - left
         if left:
@@ -165,7 +182,7 @@ class TestLazyCover:
     def test_sl100_samples(self, trial):
         params = PRESETS["SL-100"]
         rep = sample_label_representation(params, seed=3, trial=trial)
-        self.check(induced_graph(rep), params.m, params.p)
+        self.check(induced_graph(rep), params.m)
 
     def test_random_label_graphs_with_ties(self):
         rng = random.Random(21)
@@ -174,14 +191,14 @@ class TestLazyCover:
             k = rng.randint(2, min(n, 6))
             m = rng.randint(1, 8)
             g = induced_graph(equal_size_labels(rng, n, m, k))
-            self.check(g, rng.randint(1, m + 2), rng.choice([0.1, 0.3, 0.5]))
+            self.check(g, rng.randint(1, m + 2))
 
     def test_disjoint_equal_labels_go_in_clique_order(self):
         g = induced_graph(build_labels(9, 3, [[2], [2], [2], [1], [1], [1], [0], [0], [0]]))
-        result = reconstruct_labels(g, 3, 0.3)
+        result = reconstruct_labels(g, 3)
         assert result.rep.masks == (0b111, 0b111000, 0b111000000)
-        self.check(g, 3, 0.3)
-        self.check(g, 2, 0.3)
+        self.check(g, 3)
+        self.check(g, 2)
 
 
 class TestRepsEquivalent:
