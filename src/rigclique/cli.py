@@ -76,17 +76,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_clique(args: argparse.Namespace) -> int:
+    # the solver is looked up here, on each call, not stored in the parser,
+    # which is cached per process: a hook installed on this module's
+    # find_max_clique or exact_max_clique after the first call still runs
+    solver = find_max_clique if args.command == "solve" else exact_max_clique
     budget = _at_least(args, "budget", 0)
     g = decode_graph(_read(args.graph))
-    _print_clique(find_max_clique(g, node_budget=budget))
-    return 0
-
-
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    budget = _at_least(args, "budget", 0)
-    g = decode_graph(_read(args.graph))
-    _print_clique(exact_max_clique(g, node_budget=budget))
+    _print_clique(solver(g, node_budget=budget))
     return 0
 
 
@@ -167,17 +164,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out-labels", help="write the label sets here")
     gen.set_defaults(func=_cmd_gen)
 
-    solve = sub.add_parser("solve", help="maximum clique via the quotient solver")
-    solve.add_argument("--graph", required=True, help="graph file to solve")
-    solve.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
-                       help=f"quotient search node budget (default {DEFAULT_NODE_BUDGET})")
-    solve.set_defaults(func=_cmd_solve)
-
-    oracle = sub.add_parser("oracle", help="maximum clique via branch and bound")
-    oracle.add_argument("--graph", required=True, help="graph file to solve")
-    oracle.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
-                        help=f"search node budget (default {DEFAULT_NODE_BUDGET})")
-    oracle.set_defaults(func=_cmd_oracle)
+    for name, summary, budget_help in (
+            ("solve", "maximum clique via the quotient solver", "quotient search node budget"),
+            ("oracle", "maximum clique via branch and bound", "search node budget")):
+        clique = sub.add_parser(name, help=summary)
+        clique.add_argument("--graph", required=True, help="graph file to solve")
+        clique.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+                            help=f"{budget_help} (default {DEFAULT_NODE_BUDGET})")
+        clique.set_defaults(func=_cmd_clique)
 
     from_labels = sub.add_parser("from-labels",
                                  help="clique from the largest label member set")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,7 +30,7 @@ from .rig import (RigParams, max_clique_from_labels, resolve_params,
                   sample_label_representation, sample_membership)
 
 KINDS = ("single_label", "concentration", "sparse", "reconstruction")
-_BUDGET_KINDS = ("single_label", "sparse")  # the kinds that run a bounded search
+_BUDGET_KINDS = ("single_label", "sparse")  # the kinds whose search budget a config sets
 
 PRESETS = {
     "SL-100": resolve_params(n=100, m=10, p=0.15),
@@ -165,7 +165,10 @@ def _sparse_trial(cfg: ExperimentConfig, trial: int) -> dict[str, object]:
 def _reconstruction_trial(cfg: ExperimentConfig, trial: int) -> dict[str, object]:
     truth = sample_label_representation(cfg.params, cfg.seed, trial)
     g = induced_graph(truth)
-    result = reconstruct_labels(g, cfg.params.m)
+    try:
+        result = reconstruct_labels(g, cfg.params.m)
+    except SearchBudgetExceeded:  # the maximal-clique enumeration's fixed cap
+        return {"trial": trial, "status": "error"}
     equivalent = bool(result.valid and result.rep is not None
                       and reps_equivalent(result.rep, truth))
     return {"trial": trial, "status": "ok",
@@ -202,20 +205,22 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
     if cfg.budget is not None and cfg.kind not in _BUDGET_KINDS:
         raise ValueError(f"a budget applies only to {' and '.join(_BUDGET_KINDS)}, "
                          f"not {cfg.kind}")
-    run = _TRIALS[cfg.kind]
-    rows: list[dict[str, object]] = []
+    work = [(cfg, t) for t in range(cfg.trials)]
     workers = min(jobs, cfg.trials, os.cpu_count() or 1)
-    if workers == 1:
-        for trial in range(cfg.trials):
-            rows.append(run(cfg, trial))
+    rows: list[dict[str, object]] = []
+    with ExitStack() as stack:
+        if workers == 1:
+            results = map(_run_one, work)
+        else:
+            # imported here, not at the top: loading multiprocessing would cost
+            # every import of the package, and most runs use no pool
+            from concurrent.futures import ProcessPoolExecutor
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(_run_one, work)
+        for row in results:
+            rows.append(row)
             if progress is not None:
                 progress(len(rows))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for row in pool.map(_run_one, [(cfg, t) for t in range(cfg.trials)]):
-                rows.append(row)
-                if progress is not None:
-                    progress(len(rows))
     return TrialStats(cfg.kind, cfg.params, cfg.seed, rows, _summarize(cfg, rows))
 
 

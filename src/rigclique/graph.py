@@ -8,6 +8,7 @@ the sorted edge list is derived from those rows on each use.
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,29 +37,23 @@ def _members(mask: int) -> list[int]:
     return out
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Graph:
     """Simple undirected graph on vertices 0..n-1. Build via build_graph()
     or induced_graph()."""
 
-    __slots__ = ("n", "bits")
+    bits: tuple[int, ...]  # bitmask per vertex, bit u set iff {v, u} is an edge
 
-    def __init__(self, n: int, bits: tuple[int, ...]):
-        self.n = n
-        self.bits = bits  # bitmask per vertex, bit u set iff {v, u} is an edge
+    @property
+    def n(self) -> int:
+        """Vertex count: one row per vertex."""
+        return len(self.bits)
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Sorted (u, v) pairs with u < v, derived from bits on each call."""
         return tuple((u, u + 1 + j) for u, row in enumerate(self.bits)
                      for j in _members(row >> (u + 1)))  # bits above u
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.bits))
 
     def __repr__(self) -> str:
         edges = sum(map(int.bit_count, self.bits)) // 2  # without deriving the edge list
@@ -118,27 +113,21 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise GraphError(f"duplicate edge ({u}, {v})")
         bits[u] |= 1 << v
         bits[v] |= 1 << u
-    return Graph(n, tuple(bits))
+    return Graph(tuple(bits))
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class LabelRepresentation:
     """Label member sets L_0..L_{m-1} on vertices 0..n-1, one bitmask per
     label. Build via build_labels() or sample_label_representation()."""
 
-    __slots__ = ("n", "m", "masks")
+    n: int
+    masks: tuple[int, ...]  # bitmask per label, bit v set iff vertex v holds label i
 
-    def __init__(self, n: int, m: int, masks: tuple[int, ...]):
-        self.n = n
-        self.m = m
-        self.masks = masks  # bitmask per label, bit v set iff vertex v holds label i
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LabelRepresentation):
-            return NotImplemented
-        return (self.n, self.m, self.masks) == (other.n, other.m, other.masks)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.m, self.masks))
+    @property
+    def m(self) -> int:
+        """Label count: one mask per label."""
+        return len(self.masks)
 
     def __repr__(self) -> str:
         return f"LabelRepresentation(n={self.n}, m={self.m})"
@@ -161,7 +150,7 @@ def build_labels(n: int, m: int, label_sets: Iterable[Iterable[int]]) -> LabelRe
             if not (0 <= i < m):
                 raise GraphError(f"label {i} out of range for m={m} (vertex {v})")
             masks[i] |= 1 << v
-    return LabelRepresentation(n, m, tuple(masks))
+    return LabelRepresentation(n, tuple(masks))
 
 
 def induced_graph(rep: LabelRepresentation) -> Graph:
@@ -182,16 +171,17 @@ def induced_graph(rep: LabelRepresentation) -> Graph:
             bits[v] |= mask
     for v in _members(labelled):
         bits[v] ^= 1 << v
-    return Graph(rep.n, tuple(bits))
+    return Graph(tuple(bits))
 
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
     """True iff the given vertices are pairwise adjacent (size <= 1 counts)."""
     vs = sorted(set(vertices))
+    n = g.n
     for v in vs:
-        if not (0 <= v < g.n):
-            raise GraphError(f"vertex {v} out of range for n={g.n}")
-    mask = _mask(vs, g.n)
+        if not (0 <= v < n):
+            raise GraphError(f"vertex {v} out of range for n={n}")
+    mask = _mask(vs, n)
     for v in vs:
         if (g.bits[v] & mask).bit_count() != len(vs) - 1:
             return False

@@ -70,6 +70,8 @@ def _decode_canonical(text: str) -> Graph | None:
     no pair repeats in either order. No array is sized by n or sorted;
     the rows that have an arc are packed in blocks as wide as the largest
     endpoint plus one, as many rows to a block as _BLOCK_CELLS allows.
+    Each arc's cell among those rows is computed once, and each block sets
+    the cells in its own row range.
     """
     if not text.isascii():
         return None
@@ -114,34 +116,32 @@ def _decode_canonical(text: str) -> Graph | None:
     top = int(values.max())
     if top >= n:
         return None
-    u, v = values[0::2], values[1::2]
     has_arc = np.zeros(top + 1, dtype=bool)
     has_arc[values] = True
     active = np.flatnonzero(has_arc)
     rank = np.cumsum(has_arc) - 1  # position of each vertex among active
     width = top + 1
+    cells = seps.reshape(e, 2)  # reused: the flat cell of arc u->v and of v->u
+    rank.take(values, out=seps)
+    cells *= width
+    cells += values.reshape(e, 2)[:, ::-1]
     height = _block_height(width)
     rows: list[int] = []
     for start in range(0, len(active), height):
         block = np.zeros((min(height, len(active) - start), width), dtype=bool)
         if len(block) == len(active):  # every arc lands in this block
-            cells = seps.reshape(e, 2)  # reused: the cell of arc u->v and of v->u
-            rank.take(values, out=seps)
-            cells *= width
-            cells += values.reshape(e, 2)[:, ::-1]
             block.reshape(-1)[seps] = True
         else:
-            lo, hi = active[start], active[start + len(block) - 1]
-            for a, b in ((u, v), (v, u)):
-                arcs = (a >= lo) & (a <= hi)
-                block.reshape(-1)[(rank[a[arcs]] - start) * width + b[arcs]] = True
+            lo = start * width
+            mine = seps[(seps >= lo) & (seps < lo + block.size)]
+            block.reshape(-1)[mine - lo] = True
         rows.extend(_pack_rows(block))
     if sum(map(int.bit_count, rows)) != 2 * e:
         return None  # a self-loop, or a pair repeated in either order
     bits = [0] * n
     for w, row in zip(active.tolist(), rows):
         bits[w] = row
-    return Graph(n, tuple(bits))
+    return Graph(tuple(bits))
 
 
 def decode_graph(text: str) -> Graph:

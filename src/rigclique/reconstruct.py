@@ -49,7 +49,7 @@ def reconstruct_labels(g: Graph, m: int) -> ReconstructionResult:
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     classes = closed_neighborhood_partition(g).classes
-    quotient = Graph(len(classes), tuple(_subgraph_rows(g, [cls[0] for cls in classes])))
+    quotient = Graph(tuple(_subgraph_rows(g, [cls[0] for cls in classes])))
     candidates = [tuple(sorted(v for c in clique for v in classes[c]))
                   for clique in enumerate_maximal_cliques(quotient)]
     candidates.sort(key=lambda c: (-len(c), c))
@@ -83,7 +83,7 @@ def reconstruct_labels(g: Graph, m: int) -> ReconstructionResult:
     if left:
         return ReconstructionResult(None, False, total - left, len(candidates))
 
-    rep = LabelRepresentation(g.n, m, tuple(chosen) + (0,) * (m - len(chosen)))
+    rep = LabelRepresentation(g.n, tuple(chosen) + (0,) * (m - len(chosen)))
     valid = induced_graph(rep) == g
     return ReconstructionResult(rep, valid, total, len(candidates))
 

@@ -95,7 +95,7 @@ def sample_label_representation(params: RigParams, seed: int,
     of the membership matrix is the mask of label i. The columns are
     copied to contiguous rows and packed through _pack_rows."""
     columns = np.ascontiguousarray(sample_membership(params, seed, trial).T)
-    return LabelRepresentation(params.n, params.m, tuple(_pack_rows(columns)))
+    return LabelRepresentation(params.n, tuple(_pack_rows(columns)))
 
 
 def max_clique_from_labels(rep: LabelRepresentation) -> tuple[int, ...]:

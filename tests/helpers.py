@@ -82,7 +82,7 @@ def corona(k: int) -> Graph:
 def cocktail_party(k: int) -> Graph:
     """K_{2xk}: vertices 0..2k-1, each adjacent to all but its partner v ^ 1."""
     full = (1 << 2 * k) - 1
-    return Graph(2 * k, tuple(full ^ (1 << v) ^ (1 << (v ^ 1)) for v in range(2 * k)))
+    return Graph(tuple(full ^ (1 << v) ^ (1 << (v ^ 1)) for v in range(2 * k)))
 
 
 def two_triangles() -> Graph:

@@ -394,6 +394,27 @@ class TestInProcessReuse:
             codes.append(code)
         assert codes == [0, 2, 1, 0, 0]
 
+    def test_clique_commands_see_hooks_installed_after_the_parser(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        """solve and oracle look their solver up in this module on each call,
+        so a wrapper installed after the cached parser is built still runs."""
+        (tmp_path / "g.txt").write_text(P3)
+        monkeypatch.chdir(tmp_path)
+        assert rigclique.cli.main(["solve", "--graph", "g.txt"]) == 0
+        calls = []
+        for name in ("find_max_clique", "exact_max_clique"):
+            solver = getattr(rigclique.cli, name)
+
+            def counted(*args, _name=name, _solver=solver, **kwargs):
+                calls.append(_name)
+                return _solver(*args, **kwargs)
+
+            monkeypatch.setattr(rigclique.cli, name, counted)
+        for command in ("solve", "oracle"):
+            assert rigclique.cli.main([command, "--graph", "g.txt"]) == 0
+        assert calls == ["find_max_clique", "exact_max_clique"]
+        assert capsys.readouterr().out == "size 2\n0 1\n" * 3
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):

@@ -1,10 +1,14 @@
+import concurrent.futures
+import functools
 import math
 
 import pytest
 
+import rigclique.cli
 import rigclique.experiments as experiments
-from rigclique import (PRESETS, ExperimentConfig, RigParams, exact_max_clique,
-                       induced_graph, label_deviation_bound, resolve_params,
+import rigclique.reconstruct
+from rigclique import (PRESETS, ExperimentConfig, RigParams, enumerate_maximal_cliques,
+                       exact_max_clique, induced_graph, label_deviation_bound, resolve_params,
                        run_experiment, sample_label_representation, set_size_bound)
 
 from helpers import label_members
@@ -183,6 +187,19 @@ class TestReconstructionKind:
         assert stats.summary["equivalent_count"] <= stats.summary["valid_count"]
         summary_consistent(stats)
 
+    def test_enumeration_refusal_becomes_error_row(self, monkeypatch, capsys):
+        # a cap of one clique refuses every SL-100 graph; the trials report
+        # it as rows and the run, in the library and at the CLI, goes on
+        capped = functools.partial(enumerate_maximal_cliques, max_cliques=1)
+        monkeypatch.setattr(rigclique.reconstruct, "enumerate_maximal_cliques", capped)
+        cfg = ExperimentConfig("reconstruction", PRESETS["SL-100"], trials=3, seed=1)
+        csv = run_experiment(cfg).to_csv()
+        assert csv.splitlines()[1:4] == ["0,error,,", "1,error,,", "2,error,,"]
+        assert "# summary,errors,3\n" in csv
+        assert rigclique.cli.main(["experiment", "reconstruction", "--n", "100", "--m", "10",
+                                   "--p", "0.15", "--trials", "3", "--seed", "1"]) == 0
+        assert capsys.readouterr().out == csv
+
 
 class TestCsvRendering:
     def test_structure(self):
@@ -248,7 +265,7 @@ class TestReproducibility:
         cfg = ExperimentConfig("sparse", resolve_params(n=30, m=6, p=0.02),
                                trials=trials, seed=0)
         sequential = run_experiment(cfg).to_csv()
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
         assert run_experiment(cfg, jobs=jobs).to_csv() == sequential
         assert recorded == started

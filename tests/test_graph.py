@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -75,17 +76,36 @@ class TestBuildGraph:
     def test_repr_counts_edges_from_rows(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         assert repr(g) == "Graph(n=4, edges=3)"
-        assert Graph.__slots__ == ("n", "bits")  # no edge list is kept beside the rows
+        assert Graph.__slots__ == ("bits",)  # no edge list is kept beside the rows
+
+    def test_frozen_with_n_from_rows(self):
+        g = build_graph(4, [(0, 1)])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.bits = ()
+        assert Graph(()).n == 0
+        for h, n in ((g, 4), (build_graph(0, []), 0), (decode_graph("5 1\n3 4\n"), 5),
+                     (induced_graph(build_labels(3, 0, [[]] * 3)), 3)):
+            assert h.n == len(h.bits) == n
 
 
 class TestLabelRepresentation:
     def test_inverse_consistency(self):
         rep = build_labels(3, 2, [[0], [0, 1], [1]])
         assert rep.masks == (0b011, 0b110)
-        assert rep == LabelRepresentation(3, 2, (0b011, 0b110))
+        assert rep == LabelRepresentation(3, (0b011, 0b110))
 
     def test_slots(self):
-        assert LabelRepresentation.__slots__ == ("n", "m", "masks")
+        assert LabelRepresentation.__slots__ == ("n", "masks")
+
+    def test_frozen_with_m_from_masks(self):
+        rep = build_labels(3, 2, [[0], [0, 1], [1]])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.masks = ()
+        assert rep.m == len(rep.masks) == 2
+        assert LabelRepresentation(3, ()).m == 0
+        assert build_labels(2, 0, [[], []]).m == 0
+        params = resolve_params(n=4, m=0, p=0.5)
+        assert sample_label_representation(params, seed=0).m == 0
 
     def test_out_of_range_label(self):
         with pytest.raises(GraphError, match="label 2 out of range"):

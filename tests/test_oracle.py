@@ -81,7 +81,7 @@ class TestExactMaxClique:
 
     def test_empty_and_edgeless(self):
         assert exact_max_clique(build_graph(0, [])) == ()
-        assert exact_max_clique(Graph(0, ()), node_budget=0) == ()  # no node to charge
+        assert exact_max_clique(Graph(()), node_budget=0) == ()  # no node to charge
         assert exact_max_clique(build_graph(3, [])) == (0,)
 
     def test_matches_subset_enumeration(self):

@@ -44,6 +44,15 @@ def test_benchmark_imports_resolve():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_loads_no_process_pool():
+    # every CLI call imports the package; the pool machinery loads only when
+    # an experiment runs with more than one worker
+    code = "import sys, rigclique; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-B", "-c", code],
+                          capture_output=True, text=True, env=checkout_env())
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 # Passes 0-2 of each benchmark workload at the pins' seed, judged by the
 # workload's own check against its pins: clique numbers, CSV digests and
 # row statuses. Prints the failures as one JSON list.

@@ -32,7 +32,7 @@ def quotient_graph(g: Graph, partition: Partition) -> QuotientGraph:
     reconstruct_labels builds them: cross-class edges are all-or-nothing."""
     classes = partition.classes
     rows = _subgraph_rows(g, [cls[0] for cls in classes])
-    return QuotientGraph(tuple(len(cls) for cls in classes), Graph(len(classes), tuple(rows)))
+    return QuotientGraph(tuple(len(cls) for cls in classes), Graph(tuple(rows)))
 
 
 def max_weight_quotient_clique(q: QuotientGraph, node_budget: int = DEFAULT_NODE_BUDGET,
@@ -286,7 +286,7 @@ class TestFindMaxClique:
 
     def test_no_vertices_gives_empty(self):
         assert find_max_clique(build_graph(0, [])) == ()
-        assert find_max_clique(Graph(0, ()), node_budget=0) == ()
+        assert find_max_clique(Graph(()), node_budget=0) == ()
 
     def test_no_class_cap(self):
         # a path has as many classes as vertices; only the node budget limits

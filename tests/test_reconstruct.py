@@ -30,7 +30,7 @@ class TestReconstructExamples:
     def test_null_graph(self):
         result = reconstruct_labels(build_graph(0, []), 2)
         assert result.valid
-        assert result.rep == LabelRepresentation(0, 2, (0, 0))
+        assert result.rep == LabelRepresentation(0, (0, 0))
 
     def test_triangle_prefers_single_label(self):
         # one big clique beats a pairwise cover even when three labels are
@@ -74,7 +74,7 @@ class TestReconstructExamples:
     def test_no_labels_for_an_edgeless_graph(self):
         result = reconstruct_labels(build_graph(3, []), 0)
         assert result.valid
-        assert result.rep == LabelRepresentation(3, 0, ())
+        assert result.rep == LabelRepresentation(3, ())
         assert result.covered_edges == 0
 
     def test_no_labels_leave_an_edge_uncovered(self):
@@ -161,7 +161,7 @@ def equal_size_labels(rng: random.Random, n: int, m: int, k: int) -> LabelRepres
     so greedy steps tie on their fresh counts, at the start and after
     overlapping picks."""
     return LabelRepresentation(
-        n, m, tuple(sum(1 << v for v in rng.sample(range(n), k)) for _ in range(m)))
+        n, tuple(sum(1 << v for v in rng.sample(range(n), k)) for _ in range(m)))
 
 
 class TestLazyCover:
