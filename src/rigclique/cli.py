@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable
 
 from .experiments import _BUDGET_KINDS, KINDS, ExperimentConfig, run_experiment
-from .graph import induced_graph, is_chordal
+from .graph import Graph, induced_graph, is_chordal
 from .io import decode_graph, decode_labels, encode_graph, encode_labels
 from .oracle import DEFAULT_NODE_BUDGET, exact_max_clique
 from .quotient import find_max_clique
@@ -55,6 +55,12 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
+def _read_graph(path: str) -> Graph:
+    # decode_graph is looked up in this module on each call, like the
+    # solvers in _cmd_clique, so a hook installed on it later still runs
+    return decode_graph(Path(path).read_bytes())
+
+
 def _write(path: str, text: str) -> None:
     Path(path).write_text(text, newline="\n")
 
@@ -82,7 +88,7 @@ def _cmd_clique(args: argparse.Namespace) -> int:
     # find_max_clique or exact_max_clique after the first call still runs
     solver = find_max_clique if args.command == "solve" else exact_max_clique
     budget = _at_least(args, "budget", 0)
-    g = decode_graph(_read(args.graph))
+    g = _read_graph(args.graph)
     _print_clique(solver(g, node_budget=budget))
     return 0
 
@@ -94,7 +100,7 @@ def _cmd_from_labels(args: argparse.Namespace) -> int:
 
 
 def _cmd_chordal(args: argparse.Namespace) -> int:
-    g = decode_graph(_read(args.graph))
+    g = _read_graph(args.graph)
     ok, order = is_chordal(g)
     print(f"chordal {1 if ok else 0}")
     if ok:
@@ -104,7 +110,7 @@ def _cmd_chordal(args: argparse.Namespace) -> int:
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
-    g = decode_graph(_read(args.graph))
+    g = _read_graph(args.graph)
     # the truth file is checked first, so a bad one prints nothing to stdout
     truth = None if args.labels is None else decode_labels(_read(args.labels))
     if truth is not None and truth.n != g.n:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,8 +83,10 @@ def _pack_rows(cells: np.ndarray) -> list[int]:
         padded = np.zeros((len(cells), 8 * step), cells.dtype)
         padded[:, :cells.shape[1]] = cells
         cells = padded
-    data = np.packbits(cells.ravel(), bitorder="little").tobytes()
-    return [int.from_bytes(data[i:i + step], "little") for i in range(0, len(data), step)]
+    # one fixed-width byte string per row; tolist() drops their trailing
+    # zero bytes, which are the high bytes of a little-endian row
+    packed = np.packbits(cells.ravel(), bitorder="little").view(f"S{step}")
+    return list(map(int.from_bytes, packed.tolist(), repeat("little")))
 
 
 def _unpack_rows(rows: Sequence[int], width: int) -> np.ndarray:

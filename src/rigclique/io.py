@@ -13,12 +13,16 @@ LF endings, a final newline, no comments, tokens of at most 18 digits)
 whose pairs are distinct, in range and free of self-loops is decoded with
 array operations and no text parser: one scan finds the separators, which
 prove the layout, and the digits are read one column at a time. Any other
-text goes through the line parser, which accepts and rejects exactly what
-it always has, with the same messages.
+file goes through the line parser, and the array path gives each file the
+graph or the error the line parser would. The graph decoder takes the
+file's text or its bytes; bytes reach the line parser decoded as
+Path.read_text() decodes them. The line parser reads a number as an
+optional sign and ASCII digits, nothing else int() would take.
 """
 
 from __future__ import annotations
 
+import io
 import re
 
 import numpy as np
@@ -28,6 +32,7 @@ from .graph import (Graph, LabelRepresentation, _block_height, _members, _pack_r
 
 _CANONICAL_HEADER = re.compile(rb"([0-9]{1,18}) ([0-9]{1,18})\n")
 _MAX_DIGITS = 18  # int64 holds every number of this many digits exactly
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")  # int() alone also reads '_' and non-ASCII digits
 
 
 class FormatError(ValueError):
@@ -39,10 +44,12 @@ def _content_lines(text: str) -> list[str]:
 
 
 def _int(token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise FormatError(f"non-numeric {what} {token!r}") from None
+    if _INT_TOKEN.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise FormatError(f"non-numeric {what} {token!r}")
 
 
 def _header(lines: list[str], second_field: str) -> tuple[int, int]:
@@ -54,9 +61,9 @@ def _header(lines: list[str], second_field: str) -> tuple[int, int]:
     return _int(toks[0], "vertex count"), _int(toks[1], second_field)
 
 
-def _decode_canonical(text: str) -> Graph | None:
+def _decode_canonical(data: bytes) -> Graph | None:
     """The graph of a canonical file with at least one edge, or None as soon
-    as any check fails, leaving the text to the line parser.
+    as any check fails, leaving the file to the line parser.
 
     The layout is proven on the separators alone, the bytes below '0', in
     a body with no byte above '9': there are 2e of them, they alternate
@@ -65,17 +72,20 @@ def _decode_canonical(text: str) -> Graph | None:
     holds two tokens. The tokens are then read by digit columns from the
     right: the separator positions step left in place, and each column
     adds its digits times a power of ten to every token long enough to
-    have one, in int32 unless a token has more than 9 digits. After that,
-    the popcounts of the rows sum to 2e only if there is no self-loop and
-    no pair repeats in either order. No array is sized by n or sorted;
-    the rows that have an arc are packed in blocks as wide as the largest
-    endpoint plus one, as many rows to a block as _BLOCK_CELLS allows.
-    Each arc's cell among those rows is computed once, and each block sets
-    the cells in its own row range.
+    have one. The columns are summed in int32 when no token has more than
+    9 digits, else in int64, and the endpoints are then held in int64, the
+    width numpy indexes with on 64-bit hosts, so no later index is cast.
+    In the int32 case three 2e-entry buffers are allocated: the separator
+    positions, the int32 sums, and the int64 endpoints, whose two int32
+    halves hold the token lengths and the current column until the
+    endpoints are written.
+    After that, the popcounts of the rows sum to 2e only if there is no
+    self-loop and no pair repeats in either order. No array is sized by n
+    or sorted; the rows that have an arc are packed in blocks as wide as
+    the largest endpoint plus one, rounded up to whole bytes, as many rows
+    to a block as _BLOCK_CELLS allows. Each arc's cell among those rows is
+    computed once, and each block sets the cells in its own row range.
     """
-    if not text.isascii():
-        return None
-    data = text.encode("ascii")
     head = _CANONICAL_HEADER.match(data)
     if head is None:
         return None
@@ -83,13 +93,14 @@ def _decode_canonical(text: str) -> Graph | None:
     body = np.frombuffer(data, np.uint8)[head.end():]
     if e == 0 or body.size == 0 or body.max() > ord("9"):
         return None
-    seps = np.flatnonzero(body < ord("0"))  # the only array of 2e int64 entries
+    seps = np.flatnonzero(body < ord("0"))
     if len(seps) != 2 * e:
         return None
     kinds = body.take(seps)
     if (kinds.view("<u2") != ord(" ") | ord("\n") << 8).any():  # each pair is " \n"
         return None
-    lengths = np.empty(2 * e, np.int32)  # digits per token
+    endpoints = np.empty(2 * e, np.int64)  # first the lengths and column
+    lengths = endpoints.view(np.int32)[:2 * e]  # digits per token
     lengths[0] = seps[0] + 1
     np.subtract(seps[1:], seps[:-1], out=lengths[1:], casting="unsafe")
     lengths -= 1
@@ -99,8 +110,11 @@ def _decode_canonical(text: str) -> Graph | None:
     if (lengths.min() < 1 or longest > _MAX_DIGITS
             or int(lengths.sum(dtype=np.int64)) != body.size - 2 * e):
         return None
-    values = np.empty(2 * e, np.int32 if longest <= 9 else np.int64)
-    column = np.empty(2 * e, values.dtype)
+    narrow = longest <= 9  # every token fits in int32
+    if narrow:
+        values, column = np.empty(2 * e, np.int32), endpoints.view(np.int32)[2 * e:]
+    else:
+        values, column = np.empty(2 * e, np.int64), np.empty(2 * e, np.int64)
     digits = kinds  # reused: each token's byte in the current column
     for k in range(longest):
         seps -= 1  # the k-th digit from the right, where the token has one
@@ -113,6 +127,9 @@ def _decode_canonical(text: str) -> Graph | None:
         column *= 10**k
         values += column
     del lengths, column
+    if narrow:
+        np.copyto(endpoints, values)
+        values = endpoints
     top = int(values.max())
     if top >= n:
         return None
@@ -120,11 +137,12 @@ def _decode_canonical(text: str) -> Graph | None:
     has_arc[values] = True
     active = np.flatnonzero(has_arc)
     rank = np.cumsum(has_arc) - 1  # position of each vertex among active
-    width = top + 1
+    width = (top + 8) // 8 * 8  # whole bytes, so _pack_rows pads nothing
     cells = seps.reshape(e, 2)  # reused: the flat cell of arc u->v and of v->u
-    rank.take(values, out=seps)
+    rank.take(values, out=seps, mode="clip")  # "raise" would fill a copy of seps
     cells *= width
-    cells += values.reshape(e, 2)[:, ::-1]
+    cells[:, 0] += values[1::2]
+    cells[:, 1] += values[::2]
     height = _block_height(width)
     rows: list[int] = []
     for start in range(0, len(active), height):
@@ -144,13 +162,20 @@ def _decode_canonical(text: str) -> Graph | None:
     return Graph(tuple(bits))
 
 
-def decode_graph(text: str) -> Graph:
-    """Parse a graph file. Structural validation is left to build_graph, so
-    e.g. a self-loop line is reported as a self-loop, not a syntax error.
-    Canonical files take the array path of _decode_canonical."""
-    g = _decode_canonical(text)
+def decode_graph(data: str | bytes) -> Graph:
+    """Parse a graph file, given as its text or as its bytes; the graph
+    commands pass the bytes. Structural validation is left to build_graph,
+    so e.g. a self-loop line is reported as a self-loop, not a syntax error.
+    Canonical files take the array path of _decode_canonical. Any other
+    bytes are decoded to text as Path.read_text() decodes a file (the
+    locale's encoding, universal newlines) for the line parser."""
+    text = data if isinstance(data, str) else None
+    # a non-ASCII character becomes '?', which the canonical check refuses
+    g = _decode_canonical(data if text is None else text.encode("ascii", "replace"))
     if g is not None:
         return g
+    if text is None:
+        text = io.TextIOWrapper(io.BytesIO(data), encoding=io.text_encoding(None)).read()
     lines = _content_lines(text)
     n, e = _header(lines, "edge count")
     if len(lines) - 1 != e:

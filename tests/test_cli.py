@@ -147,6 +147,34 @@ class TestChordal:
         assert proc.stdout == "chordal 0\n"
 
 
+# Files the array decoder refuses, read as bytes and decoded to text for
+# the line parser as Path.read_text() decodes them, under UTF-8: each with
+# the exit code, stdout and stderr that solve and chordal give.
+_PATH4 = "4 3\n0 1\n1 2\n2 3\n"
+_SOLVED = (0, "size 2\n0 1\n", "")
+_CHORDAL = (0, "chordal 1\n3 2 1 0\n", "")
+_BOM_ERROR = (1, "", "error: non-numeric vertex count '\\ufeff4'\n")
+_LATIN1_ERROR = (1, "", "error: 'utf-8' codec can't decode byte 0xe9 in position 21: "
+                        "invalid continuation byte\n")
+NON_CANONICAL_FILES = [
+    ("crlf", _PATH4.replace("\n", "\r\n").encode(), _SOLVED, _CHORDAL),
+    ("comment", b"# a path\n" + _PATH4.encode(), _SOLVED, _CHORDAL),
+    ("utf-8 bom", b"\xef\xbb\xbf" + _PATH4.encode(), _BOM_ERROR, _BOM_ERROR),
+    ("latin-1 byte", _PATH4.encode() + b"# caf\xe9\n", _LATIN1_ERROR, _LATIN1_ERROR),
+]
+
+
+@pytest.mark.parametrize("data, solve, chordal", [case[1:] for case in NON_CANONICAL_FILES],
+                         ids=[case[0] for case in NON_CANONICAL_FILES])
+def test_non_canonical_file_keeps_its_text(tmp_path, data, solve, chordal):
+    (tmp_path / "g.txt").write_bytes(data)
+    for command, want in (("solve", solve), ("chordal", chordal)):
+        proc = subprocess.run([sys.executable, "-m", "rigclique", command, "--graph", "g.txt"],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env=checkout_env(PYTHONUTF8="1"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
 class TestReconstruct:
     def test_against_truth_with_output(self, tmp_path):
         run_cli("gen", "--n", "40", "--m", "5", "--p", "0.25", "--seed", "3",
@@ -397,23 +425,28 @@ class TestInProcessReuse:
     def test_clique_commands_see_hooks_installed_after_the_parser(self, tmp_path, monkeypatch,
                                                                    capsys):
         """solve and oracle look their solver up in this module on each call,
-        so a wrapper installed after the cached parser is built still runs."""
+        and every graph command its decode_graph, so a wrapper installed
+        after the cached parser is built still runs."""
         (tmp_path / "g.txt").write_text(P3)
         monkeypatch.chdir(tmp_path)
         assert rigclique.cli.main(["solve", "--graph", "g.txt"]) == 0
         calls = []
-        for name in ("find_max_clique", "exact_max_clique"):
-            solver = getattr(rigclique.cli, name)
+        for name in ("find_max_clique", "exact_max_clique", "decode_graph"):
+            wrapped = getattr(rigclique.cli, name)
 
-            def counted(*args, _name=name, _solver=solver, **kwargs):
+            def counted(*args, _name=name, _wrapped=wrapped, **kwargs):
                 calls.append(_name)
-                return _solver(*args, **kwargs)
+                return _wrapped(*args, **kwargs)
 
             monkeypatch.setattr(rigclique.cli, name, counted)
         for command in ("solve", "oracle"):
             assert rigclique.cli.main([command, "--graph", "g.txt"]) == 0
-        assert calls == ["find_max_clique", "exact_max_clique"]
-        assert capsys.readouterr().out == "size 2\n0 1\n" * 3
+        assert rigclique.cli.main(["chordal", "--graph", "g.txt"]) == 0
+        assert rigclique.cli.main(["reconstruct", "--graph", "g.txt", "--m", "2"]) == 0
+        assert calls == ["decode_graph", "find_max_clique", "decode_graph", "exact_max_clique",
+                         "decode_graph", "decode_graph"]
+        assert capsys.readouterr().out == ("size 2\n0 1\n" * 3 + "chordal 1\n2 1 0\n"
+                                           + "valid 1\n")
 
 
 class TestConsoleScript:

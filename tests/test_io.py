@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import rigclique.graph
 import rigclique.io
-from rigclique import (FormatError, GraphError, build_graph, decode_graph, encode_graph,
-                       induced_graph, resolve_params, sample_label_representation)
+from rigclique import (FormatError, GraphError, build_graph, decode_graph, decode_labels,
+                       encode_graph, induced_graph, resolve_params, sample_label_representation)
 
 from helpers import random_graph
 
@@ -55,6 +55,20 @@ MALFORMED = [
     ("non-numeric header", "3 x\n", FormatError, "non-numeric edge count 'x'"),
     ("non-numeric endpoint", "3 1\n0 y\n", FormatError, "non-numeric endpoint 'y'"),
     ("empty", "", FormatError, "missing header line"),
+    # a number is an optional sign and ASCII digits, not any int() literal
+    ("underscore in header", "3_0 1\n0 1\n", FormatError, "non-numeric vertex count '3_0'"),
+    ("underscore in endpoint", "3 1\n0 0_2\n", FormatError, "non-numeric endpoint '0_2'"),
+    ("arabic-indic digit", "3 1\n0 \u0662\n", FormatError, "non-numeric endpoint '\u0662'"),
+    ("fullwidth digit", "\uff13 1\n0 1\n", FormatError, "non-numeric vertex count '\uff13'"),
+    ("sign alone", "3 1\n0 +\n", FormatError, "non-numeric endpoint '+'"),
+]
+
+# The same for label files.
+MALFORMED_LABELS = [
+    ("underscore in header", "2 1_0\n0:\n1:\n", "non-numeric label count '1_0'"),
+    ("underscore in label id", "2 2\n0: 0_1\n1:\n", "non-numeric label id '0_1'"),
+    ("arabic-indic digit", "2 2\n0: \u0661\n1:\n", "non-numeric label id '\u0661'"),
+    ("fullwidth digit", "\uff12 2\n0:\n1:\n", "non-numeric vertex count '\uff12'"),
 ]
 
 # Each text the line parser accepts, with the graph it means.
@@ -62,7 +76,6 @@ ACCEPTED = [
     ("crlf", "3 2\r\n0 1\r\n1 2\r\n", 3, [(0, 1), (1, 2)]),
     ("comment line in body", "3 2\n0 1\n# note\n1 2\n", 3, [(0, 1), (1, 2)]),
     ("plus sign", "3 1\n+1 2\n", 3, [(1, 2)]),
-    ("non-ascii digits", "3 1\n0 ٢\n", 3, [(0, 2)]),
     ("missing final newline", "3 2\n0 1\n1 2", 3, [(0, 1), (1, 2)]),
     ("leading zeros", "3 1\n00 02\n", 3, [(0, 2)]),
     ("extra spaces and a tab", "3 2\n 0  1\n1\t2\n", 3, [(0, 1), (1, 2)]),
@@ -78,6 +91,14 @@ def test_malformed_exact_error(text, exc, message):
     with pytest.raises(exc) as info:
         decode_graph(text)
     assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [case[1:] for case in MALFORMED_LABELS],
+                         ids=[case[0] for case in MALFORMED_LABELS])
+def test_malformed_label_file_exact_error(text, message):
+    with pytest.raises(FormatError) as info:
+        decode_labels(text)
     assert str(info.value) == message
 
 
@@ -172,7 +193,7 @@ def test_nineteen_digit_token_takes_line_parser(monkeypatch):
 
 
 # digits, the two separators, whitespace and signs the line parser allows,
-# a comment mark and a digit int() reads but the array path refuses
+# a comment mark and a digit int() reads but both paths refuse
 EDIT_ALPHABET = "0123456789 \n\t\r#+-\u0662"
 
 
@@ -206,9 +227,11 @@ def _outcome(text):
 @given(edited_graph_files())
 def test_array_path_changes_no_answer_or_error(text):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rigclique.io, "_decode_canonical", lambda text: None)
+        mp.setattr(rigclique.io, "_decode_canonical", lambda data: None)
         expected = _outcome(text)
     assert _outcome(text) == expected
+    # the file's bytes, as the graph commands pass them, decode alike
+    assert _outcome(text.encode()) == expected
 
 
 def test_commented_file_takes_line_parser(monkeypatch):
