@@ -168,14 +168,19 @@ def decode_graph(data: str | bytes) -> Graph:
     so e.g. a self-loop line is reported as a self-loop, not a syntax error.
     Canonical files take the array path of _decode_canonical. Any other
     bytes are decoded to text as Path.read_text() decodes a file (the
-    locale's encoding, universal newlines) for the line parser."""
-    text = data if isinstance(data, str) else None
+    locale's encoding, universal newlines), and that text is decoded, so a
+    canonical file with CRLF endings still takes the array path."""
+    if isinstance(data, bytes):
+        g = _decode_canonical(data)
+        if g is not None:
+            return g
+        return decode_graph(io.TextIOWrapper(io.BytesIO(data),
+                                             encoding=io.text_encoding(None)).read())
+    text = data
     # a non-ASCII character becomes '?', which the canonical check refuses
-    g = _decode_canonical(data if text is None else text.encode("ascii", "replace"))
+    g = _decode_canonical(text.encode("ascii", "replace"))
     if g is not None:
         return g
-    if text is None:
-        text = io.TextIOWrapper(io.BytesIO(data), encoding=io.text_encoding(None)).read()
     lines = _content_lines(text)
     n, e = _header(lines, "edge count")
     if len(lines) - 1 != e:

@@ -234,6 +234,13 @@ def test_array_path_changes_no_answer_or_error(text):
     assert _outcome(text.encode()) == expected
 
 
+def test_crlf_bytes_take_array_path(monkeypatch):
+    # decoded to text with universal newlines, as Path.read_text() reads them
+    g = random_graph(random.Random(6), 60, 0.3)
+    monkeypatch.setattr(rigclique.io, "build_graph", _refuse)
+    assert decode_graph(encode_graph(g).replace("\n", "\r\n").encode()) == g
+
+
 def test_commented_file_takes_line_parser(monkeypatch):
     calls = []
 
