@@ -79,12 +79,13 @@ def _decode_canonical(data: bytes) -> Graph | None:
     positions, the int32 sums, and the int64 endpoints, whose two int32
     halves hold the token lengths and the current column until the
     endpoints are written.
-    After that, the popcounts of the rows sum to 2e only if there is no
-    self-loop and no pair repeats in either order. No array is sized by n
-    or sorted; the rows that have an arc are packed in blocks as wide as
-    the largest endpoint plus one, rounded up to whole bytes, as many rows
-    to a block as _BLOCK_CELLS allows. Each arc's cell among those rows is
-    computed once, and each block sets the cells in its own row range.
+
+    The popcounts of the rows sum to 2e only if there is no self-loop and
+    no pair repeats in either order. No array is sized by n or sorted; the
+    rows that have an arc are packed in blocks as wide as the largest
+    endpoint plus one, rounded up to whole bytes, as many rows to a block
+    as _BLOCK_CELLS allows. Each arc's cell among those rows is computed
+    once, and each block sets the cells in its own row range.
     """
     head = _CANONICAL_HEADER.match(data)
     if head is None:
